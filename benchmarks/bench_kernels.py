@@ -3,13 +3,15 @@
 
 Workload: the verification pipeline's hot loops over the connected census of
 a given order: exhaustive minimum-cut search, dominant-eigenpair power
-iteration, and component flood fills under random deletions.
+iteration, and component flood fills under random deletions. Exits 1 when
+the two backends disagree on any kernel.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 7] [--tol 1e-12]
 """
 
 import argparse
 import random
+import sys
 import time
 
 from specconn import _kernels_py
@@ -65,25 +67,29 @@ def main():
         (f"power_iteration(tol={args.tol:g})", bench_power, (graphs, args.tol)),
         ("components_masks(random removals)", bench_components, (graphs, removals)),
     ]
-    header = f"{'kernel':36} {'pure':>10} {'cython':>10} {'speedup':>8}"
+    header = f"{'kernel':36} {'pure':>10} {'c':>10} {'speedup':>8}"
     print(header)
     print("-" * len(header))
+    mismatches = 0
     for name, fn, extra in tasks:
         t_pure, check_pure = fn(_kernels_py, *extra)
         if _kernels is None:
             print(f"{name:36} {t_pure:9.3f}s {'n/a':>10} {'n/a':>8}")
             continue
-        t_cy, check_cy = fn(_kernels, *extra)
+        t_c, check_c = fn(_kernels, *extra)
         agreement = (
-            check_pure == check_cy
+            check_pure == check_c
             if isinstance(check_pure, int)
-            else abs(check_pure - check_cy) < 1e-6 * max(1.0, abs(check_pure))
+            else abs(check_pure - check_c) < 1e-6 * max(1.0, abs(check_pure))
         )
+        mismatches += not agreement
         flag = "" if agreement else "  (MISMATCH)"
-        print(f"{name:36} {t_pure:9.3f}s {t_cy:9.3f}s {t_pure / t_cy:7.1f}x{flag}")
+        print(f"{name:36} {t_pure:9.3f}s {t_c:9.3f}s {t_pure / t_c:7.1f}x{flag}")
     if _kernels is None:
-        print("compiled extension not built; run pip install -e . --no-build-isolation")
+        print("compiled extension not built; run python3 setup.py build_ext --inplace "
+              "(needs a C compiler)")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,11 +1,11 @@
 """Build script: compiles the optional bitset-kernel extension.
 
-The extension is a pure speedup; if Cython or a C compiler is missing the
-install proceeds and specconn falls back to the pure-Python kernels at
-import time. Set SPECCONN_NO_EXT=1 to skip the extension build entirely.
+The extension is one hand-written C source, src/specconn/_kernels.c, built
+with whatever C compiler setuptools finds. It is a pure speedup: if no
+compiler is available the install proceeds and specconn falls back to the
+pure-Python kernels at import time.
 """
 
-import os
 import sys
 
 from setuptools import Extension, setup
@@ -36,34 +36,7 @@ class OptionalBuildExt(build_ext):
         )
 
 
-def extensions():
-    if os.environ.get("SPECCONN_NO_EXT"):
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print(
-            "warning: Cython not available; skipping the specconn._kernels "
-            "extension (pure-Python kernels will be used)",
-            file=sys.stderr,
-        )
-        return []
-    return cythonize(
-        [
-            Extension(
-                "specconn._kernels",
-                ["src/specconn/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-            "initializedcheck": False,
-        },
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[Extension("specconn._kernels", ["src/specconn/_kernels.c"])],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

@@ -9,7 +9,7 @@ radius in their classes.
 
 __version__ = "0.1.0"
 
-from .census import CONNECTED_COUNTS, connected_census, enumerate_connected, ingest_graph6
+from .census import CONNECTED_COUNTS, connected_census, ingest_graph6
 from .connectivity import (
     CutCertificate,
     CutMode,
@@ -28,8 +28,6 @@ from .families import (
     construct,
     extremal_family_for,
     feasibility_violations,
-    neighbor_extremal,
-    neighbor_extremal_graph,
     witness_cut,
 )
 from .graphs import (
@@ -79,7 +77,6 @@ from .transforms import (
 from .verify import (
     ClassSpec,
     VerificationReport,
-    classify,
     run_verification,
     verify_class,
     write_csv,

@@ -54,11 +54,6 @@ def connected_census(n: int) -> list[Graph]:
     return level
 
 
-def enumerate_connected(n: int) -> Iterator[Graph]:
-    """Stream one representative per isomorphism class of connected graphs."""
-    yield from connected_census(n)
-
-
 def ingest_graph6(
     source: str | os.PathLike | TextIO | Iterable[str],
     errors: list[tuple[int, str]] | None = None,

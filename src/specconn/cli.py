@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .census import GENERATOR_CAP, enumerate_connected, ingest_graph6
+from .census import GENERATOR_CAP, connected_census, ingest_graph6
 from .connectivity import CutMode, CutQuery, min_cut
 from .families import (
     FAMILY_IDS,
@@ -162,7 +162,7 @@ def _cmd_transform(args) -> int:
 def _cmd_enum(args) -> int:
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="ascii")
     try:
-        for g in enumerate_connected(args.n):
+        for g in connected_census(args.n):
             out.write(graph6_encode(g) + "\n")
     finally:
         if args.out is not None:
@@ -309,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=int(os.environ.get("SPECCONN_JOBS", "1")),
         help="parallel workers (default: SPECCONN_JOBS or 1)",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="accepted for interface stability; the pipeline itself is deterministic",
     )
     p.add_argument("--allow-out-of-hypothesis", action="store_true")
     p.set_defaults(func=_cmd_verify)

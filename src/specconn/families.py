@@ -230,20 +230,3 @@ def claimed_extremal(n: int, k: int, delta: int, g: int, r: int) -> FamilyParams
             f"n >= k + r(g+1)"
         )
     return FamilyParams(extremal_family_for(k, delta, g), n, k, delta, g, r)
-
-
-def neighbor_extremal(n: int, kappa_g: int, delta: int, g: int) -> FamilyParams:
-    """Claimed maximizer for classes keyed by good-neighbor connectivity.
-
-    These are exactly the r = 2 specializations of the component families.
-    """
-    if n < kappa_g + 2 * (g + 1):
-        raise ValueError(
-            f"class (n={n}, kappa_g={kappa_g}, g={g}) is outside the "
-            f"hypothesis n >= kappa_g + 2(g+1)"
-        )
-    return claimed_extremal(n, kappa_g, delta, g, 2)
-
-
-def neighbor_extremal_graph(n: int, kappa_g: int, delta: int, g: int) -> Graph:
-    return construct(neighbor_extremal(n, kappa_g, delta, g))

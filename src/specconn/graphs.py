@@ -8,7 +8,6 @@ pipeline compares.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple
 
 from . import kernels
@@ -392,19 +391,3 @@ def _canonical_adj(g: Graph) -> tuple[int, ...]:
 
 def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     return adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
-
-
-def _brute_canonical_adj(g: Graph) -> tuple[int, ...]:
-    """Reference canonicalization by trying all n! labelings (tests only)."""
-    best = None
-    for perm in permutations(range(g.n)):
-        rows = [0] * g.n
-        for v in range(g.n):
-            acc = 0
-            for w in bits(g.adj[v]):
-                acc |= 1 << perm[w]
-            rows[perm[v]] = acc
-        cand = tuple(rows)
-        if best is None or cand < best:
-            best = cand
-    return best

@@ -1,9 +1,10 @@
 """Kernel backend selection.
 
 The hot loops (flood fill, exhaustive cut search, power iteration) exist
-twice: a Cython extension (specconn._kernels) and a pure-Python fallback
-(specconn._kernels_py) with identical signatures. The compiled version is
-used when importable; set SPECCONN_PURE=1 to force the fallback.
+twice: a hand-written C extension (specconn._kernels, built from
+_kernels.c by setup.py) and a pure-Python fallback (specconn._kernels_py)
+with identical signatures. The compiled version is used when importable;
+set SPECCONN_PURE=1 to force the fallback.
 """
 
 import os

@@ -43,14 +43,6 @@ class ClassSpec:
         return self.n >= self.k + self.r * (self.g + 1)
 
 
-def classify(g: Graph, delta: int, g_param: int, r: int) -> int | None:
-    """Class key k of g for (delta, g_param, r), or None when not in any class."""
-    if degree_profile(g).min_degree != delta:
-        return None
-    result = min_cut(g, CutQuery(g_param, r, CutMode.FULL))
-    return result.value if result else None
-
-
 def _membership_query(g_param: int, r: int, mode: str) -> CutQuery:
     if mode == NEIGHBOR_MODE:
         return CutQuery(g_param, 2, CutMode.NEIGHBOR)

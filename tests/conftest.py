@@ -1,9 +1,17 @@
+import importlib.machinery
+import importlib.util
 import random
+import subprocess
+import sys
+from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specconn.graphs import Graph, from_edges
+from specconn.graphs import Graph, bits, from_edges
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def dense_rho(g: Graph) -> float:
@@ -21,6 +29,49 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     )
 
 
+def _brute_canonical_adj(g: Graph) -> tuple[int, ...]:
+    """Reference canonicalization by trying all n! labelings."""
+    best = None
+    for perm in permutations(range(g.n)):
+        rows = [0] * g.n
+        for v in range(g.n):
+            acc = 0
+            for w in bits(g.adj[v]):
+                acc |= 1 << perm[w]
+            rows[perm[v]] = acc
+        cand = tuple(rows)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The C kernel module, built by setup.py into a temp dir and loaded from
+    there; the rest of the suite keeps the backend specconn.kernels picks."""
+    root = tmp_path_factory.mktemp("build_ext")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(root / "lib"), "--build-temp", str(root / "tmp")],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
+    )
+    built = [
+        path
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        for path in (root / "lib" / "specconn").glob("_kernels" + suffix)
+    ]
+    if not built:
+        log = (build.stderr or build.stdout).strip().splitlines()
+        pytest.skip(
+            "compiled kernel extension not built"
+            + (f": {log[-1]}" if log else f" (setup.py exit {build.returncode})")
+        )
+    spec = importlib.util.spec_from_file_location("specconn._kernels", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

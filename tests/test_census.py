@@ -2,10 +2,10 @@ from itertools import permutations
 
 import pytest
 
+from specconn import census
 from specconn.census import (
     CONNECTED_COUNTS,
     connected_census,
-    enumerate_connected,
     ingest_graph6,
 )
 from specconn.graphs import (
@@ -90,10 +90,13 @@ def test_generator_cap():
         connected_census(0)
 
 
-def test_enumerate_streams_in_stable_order():
-    first = [graph6_encode(g) for g in enumerate_connected(5)]
-    second = [graph6_encode(g) for g in enumerate_connected(5)]
-    assert first == second
+def test_enumerate_streams_in_stable_order(monkeypatch):
+    # generate twice from an empty cache; the fixture restores the shared one
+    runs = []
+    for _ in range(2):
+        monkeypatch.setattr(census, "_census_cache", {})
+        runs.append([graph6_encode(g) for g in connected_census(5)])
+    assert runs[0] == runs[1]
 
 
 def test_ingest_round_trip(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from specconn.census import enumerate_connected
+from specconn.census import connected_census
 from specconn.connectivity import (
     CutMode,
     CutQuery,
@@ -123,7 +123,7 @@ def test_certificate_soundness(rng):
 def test_zero_good_two_component_cut_equals_classic(n):
     # on non-complete connected graphs the two notions coincide; neighbor
     # mode with threshold zero agrees as well
-    for g in enumerate_connected(n):
+    for g in connected_census(n):
         if g.edge_count() == n * (n - 1) // 2:
             continue
         classic = min_cut(g, CutQuery(0, 2, CutMode.CLASSIC)).value
@@ -134,7 +134,7 @@ def test_zero_good_two_component_cut_equals_classic(n):
 
 def test_zero_good_reduction_holds_at_order_eight():
     # the same identity over the full order-8 census
-    for g in enumerate_connected(8):
+    for g in connected_census(8):
         if g.edge_count() == 28:
             continue
         classic = min_cut(g, CutQuery(0, 2, CutMode.CLASSIC)).value
@@ -146,7 +146,7 @@ def test_zero_good_reduction_holds_at_order_eight():
 def test_cut_set_containment_is_literal(n):
     # every (g, r+1)-cut is a (g, r)-cut; every (g+1, r)-cut is a (g, r)-cut;
     # every (g, r)-cut is a neighbor cut with the same g
-    for g in enumerate_connected(n):
+    for g in connected_census(n):
         for fmask in range(1, (1 << n) - 1):
             for gg in (0, 1):
                 for r in (2, 3):

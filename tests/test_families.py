@@ -10,8 +10,6 @@ from specconn.families import (
     construct,
     extremal_family_for,
     feasibility_violations,
-    neighbor_extremal,
-    neighbor_extremal_graph,
     verify_witness,
     witness_cut,
 )
@@ -136,14 +134,14 @@ def test_claimed_extremal_order_eight_cells():
 
 def test_neighbor_specialization():
     # kappa_g classes use the r = 2 families
-    params = neighbor_extremal(8, 2, 2, 1)
+    params = claimed_extremal(8, 2, 2, 1, r=2)
     assert params.family is Family.DELTAMG_G and params.r == 2
-    g = neighbor_extremal_graph(8, 2, 4, 1)
+    g = construct(claimed_extremal(8, 2, 4, 1, r=2))
     assert is_isomorphic(g, assemble_clique_join(CliqueJoinShape(2, (3, 3))))
-    # hypothesis boundary: equality accepted, below it rejected
-    neighbor_extremal(6, 2, 2, 1)
+    # hypothesis boundary n >= kappa_g + 2(g+1): equality accepted, below rejected
+    claimed_extremal(6, 2, 2, 1, r=2)
     with pytest.raises(ValueError):
-        neighbor_extremal(5, 2, 2, 1)
+        claimed_extremal(5, 2, 2, 1, r=2)
 
 
 def test_self_verification_spot_grid():

@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
 
-from specconn.census import enumerate_connected
+from specconn.census import connected_census
 from specconn.graphs import (
     GraphFormatError,
     complete_bipartite,
@@ -32,7 +32,7 @@ def test_c5_round_trip():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_round_trip_connected_census(n):
-    for g in enumerate_connected(n):
+    for g in connected_census(n):
         assert graph6_decode(graph6_encode(g)) == g
 
 

@@ -17,9 +17,8 @@ from specconn.graphs import (
     mask_of,
     permute,
     vertices_of,
-    _brute_canonical_adj,
 )
-from conftest import random_graph
+from conftest import _brute_canonical_adj, random_graph
 
 
 def test_graph_validation():

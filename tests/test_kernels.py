@@ -1,4 +1,8 @@
-"""Parity between the compiled kernels and the pure-Python fallback."""
+"""Parity between the compiled kernels and the pure-Python fallback.
+
+`compiled` is the C extension built by setup.py into a temp dir (see
+conftest); the pure-Python module is the oracle.
+"""
 
 import pytest
 
@@ -7,18 +11,30 @@ from specconn import kernels
 from specconn.spectral import iteration_cap
 from conftest import random_graph
 
-compiled = pytest.importorskip(
-    "specconn._kernels", reason="compiled kernel extension not built"
-)
+TOP_BIT = 1 << 63
 
 
-def test_backend_is_reported():
-    assert kernels.BACKEND in ("cython", "pure")
+def test_backend_is_reported(compiled):
+    assert kernels.BACKEND in ("c", "pure")
     assert _kernels_py.BACKEND == "pure"
-    assert compiled.BACKEND == "cython"
+    assert compiled.BACKEND == "c"
 
 
-def test_components_parity(rng):
+def test_keyword_arguments(compiled):
+    adj = (0b110, 0b101, 0b011, 0b10000, 0b01000)
+    assert compiled.components_masks(adj, removed=0b001, n=5) == \
+        _kernels_py.components_masks(adj, 5, 0b001) == [0b110, 0b11000]
+    assert compiled.components_masks(adj, 5) == [0b111, 0b11000]
+    assert compiled.min_cut_search(adj, 5, mode=0, r=2, g=0) == 0
+    with pytest.raises(TypeError):
+        compiled.cut_valid(adj, 5, 0, 0, 2, 0, mode=0)
+    with pytest.raises(TypeError):
+        compiled.components_masks(adj, 5, bogus=0)
+    with pytest.raises(TypeError):
+        compiled.min_cut_search(adj, 5, 0, 2)
+
+
+def test_components_parity(compiled, rng):
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 16), rng.random())
         removed = rng.randrange(1 << g.n)
@@ -26,7 +42,16 @@ def test_components_parity(rng):
             _kernels_py.components_masks(g.adj, g.n, removed)
 
 
-def test_cut_validity_parity(rng):
+def test_components_parity_order_64(compiled, rng):
+    for p in (0.02, 0.05, 0.1, 0.5):
+        g = random_graph(rng, 64, p)
+        for removed in (0, TOP_BIT, rng.randrange(1 << 64), rng.randrange(1 << 63)):
+            out = compiled.components_masks(g.adj, 64, removed)
+            assert out == _kernels_py.components_masks(g.adj, 64, removed)
+            assert any(comp & TOP_BIT for comp in out) == (not removed & TOP_BIT)
+
+
+def test_cut_validity_parity(compiled, rng):
     for _ in range(200):
         g = random_graph(rng, rng.randint(2, 10), rng.random())
         fmask = rng.randrange(1 << g.n)
@@ -38,7 +63,22 @@ def test_cut_validity_parity(rng):
                 (g, fmask, gg, r, mode)
 
 
-def test_min_cut_parity(rng):
+def test_cut_validity_parity_order_64(compiled, rng):
+    for _ in range(40):
+        g = random_graph(rng, 64, rng.choice([0.03, 0.06, 0.1, 0.3]))
+        # deleting everything but a few vertices, vertex 63 among them or not
+        keep = rng.sample(range(64), rng.randint(1, 12))
+        fmask = ((1 << 64) - 1) & ~sum(1 << v for v in keep)
+        for fm in (fmask, fmask ^ TOP_BIT, rng.randrange(1 << 64)):
+            for mode in range(4):
+                gg = rng.randint(0, 2)
+                r = rng.randint(2, 4)
+                assert compiled.cut_valid(g.adj, 64, fm, gg, r, mode) == \
+                    _kernels_py.cut_valid(g.adj, 64, fm, gg, r, mode), \
+                    (g, fm, gg, r, mode)
+
+
+def test_min_cut_parity(compiled, rng):
     for _ in range(150):
         g = random_graph(rng, rng.randint(2, 9), rng.random())
         gg = rng.randint(0, 2)
@@ -48,19 +88,55 @@ def test_min_cut_parity(rng):
                 _kernels_py.min_cut_search(g.adj, g.n, gg, r, mode)
 
 
-def test_power_iteration_parity(rng):
+def _assert_power_parity(compiled, g, comps):
+    cap = iteration_cap(g.n, 1e-12)
+    for comp in comps:
+        rho_c, x_c, it_c, res_c, ok_c = compiled.power_iteration(
+            g.adj, g.n, comp, 1e-12, cap
+        )
+        rho_p, x_p, it_p, res_p, ok_p = _kernels_py.power_iteration(
+            g.adj, g.n, comp, 1e-12, cap
+        )
+        assert ok_c and ok_p
+        assert rho_c == pytest.approx(rho_p, abs=1e-11)
+        assert it_c == it_p
+        assert x_c == pytest.approx(x_p, abs=1e-11)
+
+
+def test_power_iteration_parity(compiled, rng):
     for _ in range(150):
         g = random_graph(rng, rng.randint(2, 12), 0.5)
-        comps = _kernels_py.components_masks(g.adj, g.n, 0)
-        cap = iteration_cap(g.n, 1e-12)
-        for comp in comps:
-            rho_c, x_c, it_c, res_c, ok_c = compiled.power_iteration(
-                g.adj, g.n, comp, 1e-12, cap
-            )
-            rho_p, x_p, it_p, res_p, ok_p = _kernels_py.power_iteration(
-                g.adj, g.n, comp, 1e-12, cap
-            )
-            assert ok_c and ok_p
-            assert rho_c == pytest.approx(rho_p, abs=1e-11)
-            assert it_c == it_p
-            assert x_c == pytest.approx(x_p, abs=1e-11)
+        _assert_power_parity(compiled, g, _kernels_py.components_masks(g.adj, g.n, 0))
+
+
+def test_power_iteration_parity_order_64(compiled, rng):
+    for p in (0.1, 0.3, 0.6):
+        g = random_graph(rng, 64, p)
+        comps = [c for c in _kernels_py.components_masks(g.adj, 64, 0) if c & TOP_BIT]
+        assert comps
+        _assert_power_parity(compiled, g, comps)
+
+
+@pytest.mark.parametrize(
+    "name, rest",
+    [
+        ("components_masks", (0,)),
+        ("cut_valid", (1, 1, 2, 3)),
+        ("min_cut_search", (1, 2, 3)),
+        ("power_iteration", (1, 1e-12, 100)),
+    ],
+)
+def test_bad_order_raises(compiled, name, rest):
+    fn = getattr(compiled, name)
+    for n in (-1, 0, 65):
+        with pytest.raises(ValueError):
+            fn([0] * 66, n, *rest)
+    with pytest.raises(ValueError):
+        fn([0] * 3, 4, *rest)
+
+
+def test_power_iteration_rejects_vertices_outside_the_graph(compiled):
+    adj = [0b10, 0b01]
+    for comp in (0, 0b100, TOP_BIT):
+        with pytest.raises(ValueError):
+            compiled.power_iteration(adj, 2, comp, 1e-12, 100)

@@ -15,7 +15,6 @@ from specconn.graphs import (
 from specconn.verify import (
     RHO_TOL,
     ClassSpec,
-    classify,
     reports_to_json,
     run_verification,
     verify_class,
@@ -25,11 +24,15 @@ from specconn.verify import (
 )
 
 
-def test_classify_examples():
-    assert classify(cycle_graph(6), 2, 1, 2) == 2
-    assert classify(complete_graph(5), 4, 1, 2) is None
-    assert classify(complete_bipartite(1, 5), 1, 1, 2) is None
-    assert classify(cycle_graph(6), 3, 1, 2) is None  # wrong minimum degree
+def test_class_membership_examples():
+    # C6 (min degree 2) has a 1-good 2-component cut of size 2; a complete
+    # graph has no cut and a star has no 1-good one, so only C6 is a member
+    source = [cycle_graph(6), complete_graph(6), complete_bipartite(1, 5)]
+    for mode in ("component", "neighbor"):
+        reports = run_verification(6, 1, 2, mode=mode, source=source)
+        assert [(rep.spec.delta, rep.spec.k, rep.population) for rep in reports] == [
+            (2, 2, 1)
+        ]
 
 
 def test_seven_vertex_example_cell():
