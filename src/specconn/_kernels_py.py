@@ -9,9 +9,19 @@ from itertools import combinations
 from math import sqrt
 
 BACKEND = "pure"
+MAX_N = 64
+
+
+def _check_order(adj, n):
+    # the same input errors the C kernels raise
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+    if len(adj) < n:
+        raise ValueError(f"adj has {len(adj)} rows, fewer than n = {n}")
 
 
 def components_masks(adj, n, removed=0):
+    _check_order(adj, n)
     full = ((1 << n) - 1) & ~removed
     comps = []
     rem = full
@@ -55,6 +65,11 @@ def _component_count_reaches(adj, surv, r):
 
 
 def cut_valid(adj, n, fmask, g, r, mode):
+    _check_order(adj, n)
+    return _cut_valid(adj, n, fmask, g, r, mode)
+
+
+def _cut_valid(adj, n, fmask, g, r, mode):
     full = (1 << n) - 1
     surv = full & ~fmask
     if mode == 0:
@@ -84,6 +99,7 @@ def _disconnected(adj, surv):
 
 
 def min_cut_search(adj, n, g, r, mode):
+    _check_order(adj, n)
     lo = 0 if mode in (0, 1) else 1
     hi = n + 1 if mode == 1 else n
     for size in range(lo, hi):
@@ -91,7 +107,7 @@ def min_cut_search(adj, n, g, r, mode):
             fmask = 0
             for v in combo:
                 fmask |= 1 << v
-            if cut_valid(adj, n, fmask, g, r, mode):
+            if _cut_valid(adj, n, fmask, g, r, mode):
                 return fmask
     return -1
 
@@ -103,6 +119,9 @@ def power_iteration(adj, n, comp_mask, tol, max_iter):
     converged) with x listed over the component's vertices in ascending
     order, unit Euclidean norm.
     """
+    _check_order(adj, n)
+    if not comp_mask or comp_mask >> n:
+        raise ValueError("comp_mask must be a nonempty subset of the n vertices")
     vs = []
     m = comp_mask
     while m:

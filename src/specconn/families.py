@@ -20,16 +20,23 @@ With m = n - (r-1)(g+1) - k:
               small part (k = 1)
   join-vi     K_k v (K_M u (r-1)K_{delta-k+1}) with M = n-k-(delta-k+1)(r-1)
 
-Each family carries a size-k witness cut (the core, plus u when u's whole
-neighborhood lies in the core) whose removal leaves r components with all
-residual degrees >= g.
+At g = 0 the K_g part of deltamg-g is empty and u sees only the core. For
+r = 2 that needs delta = k, or deleting N(u) would isolate u with a smaller
+cut; for r >= 3 deleting N(u) leaves only two components, so delta <= k is
+enough.
+
+Each family carries a size-k witness cut (the core, plus u when the core has
+k-1 vertices) whose removal leaves r components with all residual degrees
+>= g.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from itertools import accumulate
 
 from .connectivity import CutMode, CutQuery, is_valid_cut
-from .graphs import Graph, from_edges, mask_of
+from .graphs import Graph, add_edges, complete_graph, disjoint_union, empty_graph, join
 
 
 class Family(str, Enum):
@@ -89,9 +96,9 @@ def feasibility_violations(p: FamilyParams) -> list[str]:
             bad.append("delta >= g required for deltamg-g")
         if p.delta - p.g > p.k:
             bad.append("delta-g <= k required for deltamg-g")
-        if p.g == 0 and p.delta != p.k:
-            bad.append("delta = k required for deltamg-g when g = 0 (otherwise "
-                       "the pendant vertex's chosen core is a smaller cut)")
+        if p.g == 0 and p.r == 2 and p.delta != p.k:
+            bad.append("delta = k required for deltamg-g when g = 0 and r = 2 "
+                       "(otherwise deleting N(u) is a smaller cut)")
     elif f is Family.KM1_DMKP1:
         if not 2 <= p.k <= p.delta:
             bad.append("2 <= k <= delta required for km1")
@@ -120,83 +127,53 @@ def _check(p: FamilyParams) -> None:
         raise InfeasibleFamilyError(p, bad)
 
 
-def _ranges(start: int, sizes: list[int]) -> list[range]:
-    out = []
-    for size in sizes:
-        out.append(range(start, start + size))
-        start += size
-    return out
+def _layout(p: FamilyParams) -> tuple[int, list[int], list[tuple[int, int]] | None]:
+    """(core size, part sizes in label order, pendant targets) of a family.
 
-
-def _clique_edges(rng: range):
-    vs = list(rng)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            yield (u, v)
+    A target (block, count) joins u to the first count vertices of a block,
+    block 0 being the core; targets are None when there is no pendant u.
+    """
+    n, k, delta, g, r = p.n, p.k, p.delta, p.g, p.r
+    m = n - (r - 1) * (g + 1) - k
+    smalls = [g + 1] * (r - 1)
+    if p.family is Family.DELTA_0:
+        return k - 1, [m, *smalls], [(0, delta)]
+    if p.family is Family.DELTAMG_G:
+        return k, [m, *smalls[1:], g], [(0, delta - g), (r, g)]
+    if p.family is Family.KM1_DMKP1:
+        return k - 1, [m, *smalls], [(0, k - 1), (1, delta - k + 1)]
+    if p.family is Family.ZERO_DELTA:  # k = 1 here, so m0 = m
+        return 0, [m, *smalls], [(1, delta - r + 1)] + [(j, 1) for j in range(2, r + 1)]
+    small = delta - k + 1
+    return k, [n - k - small * (r - 1)] + [small] * (r - 1), None
 
 
 def construct(p: FamilyParams) -> Graph:
     """Build the labeled family graph (order n, min degree exactly delta)."""
     _check(p)
-    n, k, delta, g, r = p.n, p.k, p.delta, p.g, p.r
-    m = n - (r - 1) * (g + 1) - k
-    edges: list[tuple[int, int]] = []
-
-    def join_all(core: range, parts: list[range]):
-        for u in core:
-            for part in parts:
-                for v in part:
-                    edges.append((u, v))
-
-    if p.family is Family.DELTA_0:
-        core, big, *smalls = _ranges(1, [k - 1, m] + [g + 1] * (r - 1))
-        for part in (core, big, *smalls):
-            edges.extend(_clique_edges(part))
-        join_all(core, [big, *smalls])
-        edges.extend((0, w) for w in list(core)[:delta])
-    elif p.family is Family.DELTAMG_G:
-        core, big, *rest = _ranges(1, [k, m] + [g + 1] * (r - 2) + [g])
-        gpart = rest[-1]
-        smalls = rest[:-1]
-        for part in (core, big, *rest):
-            edges.extend(_clique_edges(part))
-        join_all(core, [big, *rest])
-        edges.extend((0, w) for w in list(core)[: delta - g])
-        edges.extend((0, w) for w in gpart)
-    elif p.family is Family.KM1_DMKP1:
-        core, big, *smalls = _ranges(1, [k - 1, m] + [g + 1] * (r - 1))
-        for part in (core, big, *smalls):
-            edges.extend(_clique_edges(part))
-        join_all(core, [big, *smalls])
-        edges.extend((0, w) for w in core)
-        edges.extend((0, w) for w in list(big)[: delta - k + 1])
-    elif p.family is Family.ZERO_DELTA:
-        m0 = n - (r - 1) * (g + 1) - 1
-        big, *smalls = _ranges(1, [m0] + [g + 1] * (r - 1))
-        for part in (big, *smalls):
-            edges.extend(_clique_edges(part))
-        edges.extend((0, w) for w in list(big)[: delta - r + 1])
-        edges.extend((0, part[0]) for part in smalls)
-    else:  # JOIN_VI
-        small = delta - k + 1
-        big_size = n - k - small * (r - 1)
-        core, big, *smalls = _ranges(0, [k, big_size] + [small] * (r - 1))
-        for part in (core, big, *smalls):
-            edges.extend(_clique_edges(part))
-        join_all(core, [big, *smalls])
-    return from_edges(n, edges)
+    s, parts, pendant = _layout(p)
+    # a part of size 0 (deltamg-g's K_g at g = 0) adds no vertices
+    body = reduce(disjoint_union, (complete_graph(q) for q in parts if q))
+    body = join(complete_graph(s), body) if s else body
+    if pendant is None:
+        return body
+    starts = list(accumulate([s, *parts], initial=1))
+    return add_edges(
+        disjoint_union(empty_graph(1), body),
+        ((0, starts[block] + i) for block, count in pendant for i in range(count)),
+    )
 
 
 def witness_cut(p: FamilyParams) -> int:
-    """The size-k cut certifying class membership of the family graph."""
+    """The size-k cut certifying class membership of the family graph.
+
+    It is the core, plus the pendant vertex 0 when the core has k-1 vertices.
+    """
     _check(p)
-    if p.family in (Family.DELTA_0, Family.KM1_DMKP1):
-        return mask_of(range(0, p.k))  # u plus the k-1 core vertices
-    if p.family is Family.DELTAMG_G:
-        return mask_of(range(1, p.k + 1))
-    if p.family is Family.ZERO_DELTA:
-        return 1
-    return mask_of(range(0, p.k))  # JOIN_VI core
+    s, _, pendant = _layout(p)
+    first = 0 if pendant is None else 1
+    core = ((1 << s) - 1) << first
+    return core | 1 if s == p.k - 1 else core
 
 
 def verify_witness(p: FamilyParams) -> bool:

@@ -251,31 +251,24 @@ def graph6_decode(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 payload length {len(payload)} != {want} for order {n}"
         )
+    pad = 6 * want - nbits
+    if pad and (ord(payload[-1]) - 63) & ((1 << pad) - 1):
+        raise GraphFormatError("nonzero padding bits in final graph6 group")
+    # walk the upper triangle in the column-major order graph6_encode writes
     rows = [0] * n
-    i = 0
+    row, col = 0, 1
     for ch in payload:
         group = ord(ch) - 63
         for shift in (5, 4, 3, 2, 1, 0):
-            bit = group >> shift & 1
-            if i < nbits:
-                if bit:
-                    row, col = _triangle_position(i)
-                    rows[row] |= 1 << col
-                    rows[col] |= 1 << row
-            elif bit:
-                raise GraphFormatError("nonzero padding bits in final graph6 group")
-            i += 1
+            if col == n:
+                break
+            if group >> shift & 1:
+                rows[row] |= 1 << col
+                rows[col] |= 1 << row
+            row += 1
+            if row == col:
+                row, col = 0, col + 1
     return Graph(n, tuple(rows))
-
-
-def _triangle_position(i: int) -> tuple[int, int]:
-    # inverse of the column-major upper-triangle enumeration
-    col = 1
-    base = 0
-    while base + col <= i:
-        base += col
-        col += 1
-    return i - base, col
 
 
 # ---------------------------------------------------------------------------

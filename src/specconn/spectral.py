@@ -3,8 +3,8 @@
 The eigensolver is a shifted power iteration (A+I) per connected component;
 the shift keeps the dominant eigenvalue simple-signed so convergence is
 linear for every adjacency matrix. Join-of-cliques graphs additionally get
-an exact small quotient-matrix computation used to cross-check the iterative
-path.
+an exact spectral radius from the secular equation of their equitable
+partition, used to cross-check the iterative path.
 """
 
 import math
@@ -108,91 +108,32 @@ def assemble_clique_join(shape: CliqueJoinShape) -> Graph:
 
 
 def quotient_spectral_radius(shape: CliqueJoinShape) -> float:
-    """Exact spectral radius via the equitable-partition quotient matrix.
+    """Exact spectral radius via the equitable partition {core, part_1, ...}.
 
-    The partition {core, part_1, ..., part_t} is equitable, so the dominant
-    eigenvalue of the (t+1)x(t+1) quotient equals rho of the full graph. The
-    characteristic polynomial (Leverrier-Faddeev) has all-real roots because
-    the quotient is similar to a symmetric matrix, so Newton from above the
-    row-sum upper bound decreases monotonically to the largest root (sign
-    bisection is unusable here: several subdominant roots can exceed the
-    min-row-sum lower bound). A short Newton polish finishes the root.
+    The Perron vector is constant on each block: a on the core and b_j on a
+    part of size p_j, with (rho - p_j + 1) b_j = s a. Substituting into the
+    core row gives the secular equation f(rho) = 0 for
+
+        f(x) = x - s + 1 - s * sum_j p_j / (x - p_j + 1),
+
+    which is increasing and concave above max(p) - 1, where its only root is
+    rho. Newton from the lower bound s + max(p) - 1 (K_{s+max p} is a
+    subgraph) therefore climbs monotonically to the root.
     """
     s, parts = shape.s, shape.parts
-    t = len(parts)
-    if t == 1:
+    if len(parts) == 1:
         return float(s + parts[0] - 1)
-    m = t + 1
-    b = [[0.0] * m for _ in range(m)]
-    b[0][0] = float(s - 1)
-    for j, p in enumerate(parts, start=1):
-        b[0][j] = float(p)
-        b[j][0] = float(s)
-        b[j][j] = float(p - 1)
-    coeffs = _char_poly(b)
-    hi = float(shape.n)
-    while _poly_eval(coeffs, hi) <= 0.0:
-        hi += 1.0
-    root = _newton_from_above(coeffs, hi)
-    for _ in range(3):
-        p, dp = _poly_eval_with_derivative(coeffs, root)
-        if dp == 0.0:
+    x = float(s + max(parts) - 1)
+    for _ in range(100):
+        f, df = x - s + 1, 1.0
+        for p in parts:
+            w = s * p / (x - p + 1)
+            f -= w
+            df += w / (x - p + 1)
+        step = f / df
+        x -= step
+        if -step <= 1e-15 * x:
             break
-        step = p / dp
-        root -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(root)):
-            break
-    return root
-
-
-def _char_poly(b: list[list[float]]) -> list[float]:
-    """Monic characteristic polynomial coefficients [1, c1, ..., cm]."""
-    m = len(b)
-    coeffs = [1.0]
-    work = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
-    c = 0.0
-    for k in range(1, m + 1):
-        if k > 1:
-            prod = [[sum(b[i][x] * work[x][j] for x in range(m)) for j in range(m)]
-                    for i in range(m)]
-            for i in range(m):
-                prod[i][i] += c
-            work = prod
-        bm = [[sum(b[i][x] * work[x][j] for x in range(m)) for j in range(m)]
-              for i in range(m)]
-        c = -sum(bm[i][i] for i in range(m)) / k
-        coeffs.append(c)
-    return coeffs
-
-
-def _poly_eval(coeffs: list[float], x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _poly_eval_with_derivative(coeffs: list[float], x: float) -> tuple[float, float]:
-    acc = 0.0
-    dacc = 0.0
-    for c in coeffs:
-        dacc = dacc * x + acc
-        acc = acc * x + c
-    return acc, dacc
-
-
-def _newton_from_above(coeffs: list[float], start: float) -> float:
-    # monotone for a monic polynomial with all-real roots when started above
-    # the largest one
-    x = start
-    for _ in range(200):
-        p, dp = _poly_eval_with_derivative(coeffs, x)
-        if dp <= 0.0:
-            break
-        nxt = x - p / dp
-        if abs(x - nxt) <= 1e-14 * max(1.0, abs(x)):
-            return nxt
-        x = nxt
     return x
 
 

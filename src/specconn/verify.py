@@ -14,7 +14,6 @@ Merging is associative and commutative with ties broken on canonical form
 
 import csv
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -92,7 +91,6 @@ class VerificationReport:
     claimed_graph6: str | None
     isomorphic: bool | None
     second_best_rho: float | None
-    runtime_ms: int
     warnings: list[str]
 
     @property
@@ -110,7 +108,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "mode": self.mode,
             "class": {
                 "n": self.spec.n,
@@ -132,7 +130,6 @@ class VerificationReport:
             },
             "isomorphic": self.isomorphic,
             "second_best_rho": self.second_best_rho,
-            "runtime_ms": self.runtime_ms,
             "warnings": list(self.warnings),
         }
 
@@ -155,7 +152,6 @@ def run_verification(
     """
     if mode not in (COMPONENT_MODE, NEIGHBOR_MODE):
         raise ValueError(f"unknown mode {mode!r}")
-    started = time.perf_counter()
     graphs = list(source) if source is not None else connected_census(n)
     for h in graphs:
         if h.n != n:
@@ -179,15 +175,10 @@ def run_verification(
                     "pass allow_out_of_hypothesis to report it anyway"
                 )
 
-    reports = []
-    for delta, k in wanted:
-        reports.append(
-            _cell_report(ClassSpec(n, delta, g, r, k), mode, buckets.get((delta, k)))
-        )
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    for rep in reports:
-        rep.runtime_ms = elapsed_ms
-    return reports
+    return [
+        _cell_report(ClassSpec(n, delta, g, r, k), mode, buckets.get((delta, k)))
+        for delta, k in wanted
+    ]
 
 
 def _scan_records(lines, g, r, mode, jobs):
@@ -251,7 +242,6 @@ def _cell_report(spec: ClassSpec, mode: str, cell: _CellBest | None) -> Verifica
         claimed_graph6=claimed_g6,
         isomorphic=isomorphic,
         second_best_rho=second,
-        runtime_ms=0,
         warnings=warnings,
     )
 
@@ -300,7 +290,6 @@ CSV_COLUMNS = [
     "claimed_graph6",
     "isomorphic",
     "second_best_rho",
-    "runtime_ms",
     "warnings",
 ]
 
@@ -337,7 +326,6 @@ def write_csv(reports: list[VerificationReport], path: str) -> None:
                     "" if d["claimed"] is None else d["claimed"]["graph6"],
                     "" if d["isomorphic"] is None else d["isomorphic"],
                     "" if d["second_best_rho"] is None else repr(d["second_best_rho"]),
-                    d["runtime_ms"],
                     ";".join(d["warnings"]),
                 ]
             )

@@ -245,3 +245,23 @@ def test_a10_family_self_verification_grid():
     report("A10", f"{total} feasible family instances with n <= 10 all have "
                   f"min degree delta and cut value k ({counts}; "
                   f"{time.perf_counter() - started:.1f}s)")
+
+
+def test_a11_extremal_verification_three_and_four_components():
+    grid = [(n, g, r) for n in (6, 7) for g in (0, 1) for r in (3, 4)]
+    grid += [(8, 0, 3), (8, 0, 4)]
+    sources = {n: connected_census(n) for n in (6, 7, 8)}
+    started = time.perf_counter()
+    cells = claims = 0
+    for n, g, r in grid:
+        # some (n, g, r) have no nonempty class: n is too small for r parts
+        for rep in run_verification(n, g, r, source=sources[n]):
+            assert rep.confirmed, rep
+            cells += 1
+            claims += rep.claimed_family is not None
+    elapsed = time.perf_counter() - started
+    assert claims > 0
+    assert elapsed < 60
+    report("A11", f"r in {{3,4}}: g in {{0,1}} at n in {{6,7}} and g=0 at n=8, "
+                  f"{cells} class cells ({claims} with a claim), all confirmed "
+                  f"({elapsed:.1f}s)")

@@ -13,7 +13,7 @@ from specconn.families import (
     verify_witness,
     witness_cut,
 )
-from specconn.graphs import degree_profile, is_isomorphic
+from specconn.graphs import degree_profile, graph6_encode, is_isomorphic
 from specconn.spectral import CliqueJoinShape, assemble_clique_join
 
 
@@ -66,6 +66,7 @@ def test_witnesses_are_valid_cuts():
         FamilyParams(Family.DELTA_0, 9, 4, 2, 1, 2),
         FamilyParams(Family.DELTA_0, 10, 3, 1, 2, 2),
         FamilyParams(Family.DELTAMG_G, 10, 3, 3, 2, 2),
+        FamilyParams(Family.DELTAMG_G, 7, 3, 2, 0, 3),  # delta < k at g = 0, r >= 3
         FamilyParams(Family.KM1_DMKP1, 10, 2, 2, 3, 2),
         FamilyParams(Family.ZERO_DELTA, 10, 1, 2, 3, 2),
         FamilyParams(Family.JOIN_VI, 10, 2, 3, 1, 3),
@@ -86,6 +87,8 @@ def test_infeasibility_reports_named_constraints():
     assert any("2 <= k <= delta" in reason for reason in feasibility_violations(p))
     p = FamilyParams(Family.DELTAMG_G, 20, 1, 5, 2, 2)
     assert any("delta-g <= k" in reason for reason in feasibility_violations(p))
+    p = FamilyParams(Family.DELTAMG_G, 7, 3, 2, 0, 2)
+    assert any("delta = k" in reason for reason in feasibility_violations(p))
     p = FamilyParams(Family.JOIN_VI, 5, 2, 3, 1, 2)
     assert any("n >= k + r(g+1)" in reason for reason in feasibility_violations(p))
 
@@ -145,17 +148,19 @@ def test_neighbor_specialization():
 
 
 def test_self_verification_spot_grid():
-    # min degree and full-mode cut value equal the class parameters
+    # min degree and full-mode cut value equal the class parameters; the
+    # graph6 strings pin each family's labelling, which reports publish
     grid = [
-        FamilyParams(Family.DELTA_0, 8, 3, 2, 1, 2),
-        FamilyParams(Family.DELTAMG_G, 8, 2, 2, 1, 2),
-        FamilyParams(Family.DELTAMG_G, 9, 3, 2, 1, 2),
-        FamilyParams(Family.KM1_DMKP1, 10, 2, 2, 3, 2),
-        FamilyParams(Family.ZERO_DELTA, 9, 1, 2, 3, 2),
-        FamilyParams(Family.JOIN_VI, 9, 2, 3, 1, 3),
+        (FamilyParams(Family.DELTA_0, 8, 3, 2, 1, 2), "Gz\\zBC"),
+        (FamilyParams(Family.DELTAMG_G, 8, 2, 2, 1, 2), "Gj\\z~?"),
+        (FamilyParams(Family.DELTAMG_G, 9, 3, 2, 1, 2), "Hj\\zz~o"),
+        (FamilyParams(Family.KM1_DMKP1, 10, 2, 2, 3, 2), "Iz\\yADBOw"),
+        (FamilyParams(Family.ZERO_DELTA, 9, 1, 2, 3, 2), "Hj]?GKF"),
+        (FamilyParams(Family.JOIN_VI, 9, 2, 3, 1, 3), "H~~EMB@"),
     ]
-    for p in grid:
+    for p, labelled in grid:
         assert feasibility_violations(p) == [], p
         g = construct(p)
+        assert graph6_encode(g) == labelled, p
         assert degree_profile(g).min_degree == p.delta, p
         assert min_cut(g, CutQuery(p.g, p.r, CutMode.FULL)).value == p.k, p

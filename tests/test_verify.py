@@ -1,5 +1,4 @@
 import json
-import re
 
 import pytest
 
@@ -102,12 +101,11 @@ def test_json_report_schema(tmp_path):
     data = json.loads(path.read_text())
     assert isinstance(data, list) and len(data) == len(reports)
     first = data[0]
-    assert first["schema"] == 1
+    assert set(first) == {"schema", "mode", "class", "population", "best", "claimed",
+                          "isomorphic", "second_best_rho", "warnings"}
+    assert first["schema"] == 2
     assert first["mode"] == "component"
     assert set(first["class"]) == {"n", "delta", "g", "r", "k"}
-    for key in ("population", "best", "claimed", "isomorphic",
-                "second_best_rho", "runtime_ms", "warnings"):
-        assert key in first
     assert set(first["best"]) == {"rho", "graph6"}
     assert set(first["claimed"]) == {"family", "rho", "graph6"}
     # graph6 payloads decode
@@ -125,10 +123,9 @@ def test_csv_report_projection(tmp_path):
 
 
 def test_determinism_across_jobs():
-    mask = lambda s: re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', s)
     solo = reports_to_json(run_verification(6, 1, 2, jobs=1))
     multi = reports_to_json(run_verification(6, 1, 2, jobs=3))
-    assert mask(solo) == mask(multi)
+    assert solo == multi
 
 
 def test_explicit_source_stream():
