@@ -6,12 +6,25 @@ vertex) by wiring a new vertex to a nonempty subset, so extending each census
 member by all nonempty subsets and deduplicating on canonical form yields
 exactly one representative per isomorphism class. Counts are pinned against
 the published census in tests.
+
+Subsets in one orbit of the parent's automorphism group give isomorphic
+children, so only the least subset of each orbit is tried. Subsets are
+walked in ascending order, so that is the subset which would have been kept
+anyway: the census members and their order do not depend on the pruning.
+The group comes from the generators the parent's canonical search finds.
 """
 
 import os
 from typing import Iterable, Iterator, TextIO
 
-from .graphs import Graph, GraphFormatError, canonical_form, empty_graph, graph6_decode
+from .graphs import (
+    Graph,
+    GraphFormatError,
+    _trusted,
+    canonical_form,
+    empty_graph,
+    graph6_decode,
+)
 
 # connected graphs per order (dedup oracle for small n, frozen census above)
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -39,19 +52,50 @@ def connected_census(n: int) -> list[Graph]:
         seen: set[str] = set()
         new_bit = 1 << (n - 1)
         for parent in connected_census(n - 1):
-            for smask in range(1, new_bit):
+            generators: list[tuple[int, ...]] = []
+            canonical_form(parent, generators)
+            for smask in _orbit_minima(generators, n - 1):
                 rows = [
                     row | new_bit if smask >> v & 1 else row
                     for v, row in enumerate(parent.adj)
                 ]
                 rows.append(smask)
-                child = Graph(n, tuple(rows))
+                child = _trusted(n, tuple(rows))
                 key = canonical_form(child)
                 if key not in seen:
                     seen.add(key)
                     level.append(child)
     _census_cache[n] = level
     return level
+
+
+def _orbit_minima(generators: list[tuple[int, ...]], m: int) -> list[int]:
+    """Least subset of each orbit of nonempty subsets of range(m), ascending,
+    under the permutation group the generators span."""
+    size = 1 << m
+    images = []
+    for perm in generators:
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(image)
+    seen = bytearray(size)
+    minima = []
+    for smask in range(1, size):
+        if seen[smask]:
+            continue
+        minima.append(smask)
+        seen[smask] = 1
+        stack = [smask]
+        while stack:
+            mask = stack.pop()
+            for image in images:
+                other = image[mask]
+                if not seen[other]:
+                    seen[other] = 1
+                    stack.append(other)
+    return minima
 
 
 def ingest_graph6(

@@ -4,7 +4,8 @@ Vertices are labeled 0..n-1 and every neighborhood is a Python int used as a
 bitmask, so set algebra on neighborhoods is single machine-word work for the
 supported range n <= 64. Canonical labeling (and therefore isomorphism
 testing) is exact for n <= 12, which covers everything the verification
-pipeline compares.
+pipeline compares; the same search also returns generators of the
+automorphism group on request, which census generation uses for pruning.
 """
 
 from dataclasses import dataclass
@@ -301,20 +302,35 @@ def degree_profile(g: Graph) -> DegreeProfile:
 # ---------------------------------------------------------------------------
 # canonical form / isomorphism
 #
-# Equitable color refinement followed by individualization backtracking.
-# Within the branching cell, candidates that are twins of an already explored
-# candidate are skipped: swapping twins is an automorphism fixing the current
-# coloring, so their subtrees yield identical label sets. The leaf with the
-# minimal relabeled adjacency tuple defines the canonical labeling. Exact for
-# the documented range n <= 12.
+# Equitable color refinement followed by individualization backtracking. The
+# search starts from degree ranks, which is the first refinement round of the
+# unit coloring. Within the branching cell, candidates that are twins of an
+# already explored candidate are skipped: swapping twins is an automorphism
+# fixing the current coloring, so their subtrees yield identical label sets.
+# The leaf with the minimal relabeled adjacency tuple defines the canonical
+# labeling. Exact for the documented range n <= 12.
+#
+# The same search yields generators of the automorphism group. Two leaves
+# with equal relabeled adjacency differ by an automorphism, and every skipped
+# twin pair is a transposition. Each leaf equivalent to the minimal one is
+# the image of an explored one under skipped-twin transpositions, so the
+# automorphisms to the explored equivalent leaves and those transpositions
+# generate the whole group.
 
-def canonical_form(g: Graph) -> str:
-    """Canonical graph6 string; equal iff isomorphic (n <= 12)."""
+def canonical_form(
+    g: Graph, automorphisms: list[tuple[int, ...]] | None = None
+) -> str:
+    """Canonical graph6 string; equal iff isomorphic (n <= 12).
+
+    When a list is passed as `automorphisms`, generators of the automorphism
+    group of g are appended to it, each a tuple `perm` that maps vertex v to
+    perm[v]; the identity is never among them.
+    """
     if g.n > CANON_MAX_VERTICES:
         raise ValueError(
             f"exact canonicalization is limited to n <= {CANON_MAX_VERTICES}"
         )
-    return graph6_encode(Graph(g.n, _canonical_adj(g)))
+    return graph6_encode(_trusted(g.n, _canonical_adj(g, automorphisms)))
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
@@ -323,63 +339,85 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _refine(adj: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
+def _trusted(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph built without validation, for adjacency known to be valid."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
+def _refine(nbrs: list[tuple[int, ...]], colors: list[int]) -> list[int]:
+    """Refine to the coarsest equitable coloring; colors become dense ranks.
+
+    Each round ranks the signatures (own color, sorted neighbor colors). The
+    ranks are the fixed point once a round splits no class, or once every
+    class is a singleton, since a discrete coloring is stable.
+    """
+    n = len(colors)
+    classes = len(set(colors))
     while True:
-        sigs = []
-        for v in range(n):
-            nbr = sorted(colors[w] for w in bits(adj[v]))
-            sigs.append((colors[v], tuple(nbr)))
+        sigs = [
+            (c, tuple(sorted(map(colors.__getitem__, nb))))
+            for c, nb in zip(colors, nbrs)
+        ]
         order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [order[sig] for sig in sigs]
-        if new == colors:
+        colors = list(map(order.__getitem__, sigs))
+        if len(order) == classes or len(order) == n:
             return colors
-        colors = new
+        classes = len(order)
 
 
-def _canonical_adj(g: Graph) -> tuple[int, ...]:
+def _canonical_adj(
+    g: Graph, automorphisms: list[tuple[int, ...]] | None = None
+) -> tuple[int, ...]:
     n, adj = g.n, g.adj
-    best: list[tuple[int, ...] | None] = [None]
+    nbrs = [vertices_of(row) for row in adj]
+    best: tuple[int, ...] = ()
+    best_order: list[int] = []
+    found: set[tuple[int, ...]] = set()
 
-    def leaf(colors: list[int]) -> None:
-        order = sorted(range(n), key=colors.__getitem__)
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        rows = [0] * n
-        for v in range(n):
-            acc = 0
-            for w in bits(adj[v]):
-                acc |= 1 << pos[w]
-            rows[pos[v]] = acc
-        cand = tuple(rows)
-        if best[0] is None or cand < best[0]:
-            best[0] = cand
+    def leaf(pos: list[int]) -> None:
+        # at a discrete coloring, vertex v's color is its canonical position
+        nonlocal best, best_order
+        order = [0] * n
+        for v, p in enumerate(pos):
+            order[p] = v
+        weight = [1 << p for p in pos]
+        cand = tuple([sum(map(weight.__getitem__, nbrs[v])) for v in order])
+        if not best or cand < best:
+            best, best_order = cand, order
+        elif automorphisms is not None and cand == best:
+            found.add(tuple(map(best_order.__getitem__, pos)))
 
     def descend(colors: list[int]) -> None:
-        colors = _refine(adj, n, colors)
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
+        colors = _refine(nbrs, colors)
+        ranked = sorted(colors)
+        cell = next((a for a, b in zip(ranked, ranked[1:]) if a == b), None)
+        if cell is None:
             leaf(colors)
             return
         reps: list[int] = []
-        for v in target:
-            if any(_twins(adj, v, u) for u in reps):
+        for v in range(n):
+            if colors[v] != cell:
+                continue
+            twin = next((u for u in reps if _twins(adj, v, u)), None)
+            if twin is not None:
+                if automorphisms is not None:
+                    swap = list(range(n))
+                    swap[v], swap[twin] = twin, v
+                    found.add(tuple(swap))
                 continue
             reps.append(v)
             child = [2 * c for c in colors]
             child[v] -= 1
             descend(child)
 
-    descend([0] * n)
-    assert best[0] is not None
-    return best[0]
+    degree_rank = sorted(set(map(len, nbrs)))
+    descend([degree_rank.index(len(nb)) for nb in nbrs])
+    if automorphisms is not None:
+        automorphisms.extend(sorted(found))
+    return best
 
 
 def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:

@@ -2,14 +2,17 @@
 
 A class fixes (n, delta, g, r, k): connected graphs of order n with minimum
 degree delta whose good-neighbor component connectivity (mode "component")
-or good-neighbor connectivity (mode "neighbor", r ignored for membership)
-equals k. The pipeline classifies every graph of a census, finds the
-rho-maximizer of each class, builds the claimed extremal family for the same
-parameters, and records whether the maximizer is isomorphic to it with
-matching rho. Reports record facts; they never assume the claim.
+or good-neighbor connectivity (mode "neighbor", the r = 2 specialization;
+other r are rejected) equals k. The pipeline classifies every graph of a
+census, finds the rho-maximizer of each class, builds the claimed extremal
+family for the same parameters, and records whether the maximizer is
+isomorphic to it with matching rho. Reports record facts; they never assume the claim.
 
 Merging is associative and commutative with ties broken on canonical form
-(lexicographically least wins), so results are independent of --jobs.
+(lexicographically least wins), so results are independent of --jobs. The
+scan carries only (graph6, delta, k, rho) per member; canonical forms are
+computed per cell, for the graphs tied at exactly the best rho and for the
+isomorphism check.
 """
 
 import csv
@@ -43,13 +46,11 @@ class ClassSpec:
 
 
 def _membership_query(g_param: int, r: int, mode: str) -> CutQuery:
-    if mode == NEIGHBOR_MODE:
-        return CutQuery(g_param, 2, CutMode.NEIGHBOR)
-    return CutQuery(g_param, r, CutMode.FULL)
+    return CutQuery(g_param, r, CutMode.NEIGHBOR if mode == NEIGHBOR_MODE else CutMode.FULL)
 
 
-def _scan_chunk(args) -> list[tuple[str, int, int, float, str]]:
-    """Worker: classify a chunk of graph6 records, rho/canon for members."""
+def _scan_chunk(args) -> list[tuple[str, int, int, float]]:
+    """Worker: classify a chunk of graph6 records, rho for members."""
     lines, g_param, r, mode = args
     query = _membership_query(g_param, r, mode)
     out = []
@@ -60,22 +61,43 @@ def _scan_chunk(args) -> list[tuple[str, int, int, float, str]]:
         if result is None:
             continue
         rho = spectral_radius(g).rho
-        out.append((line, delta, result.value, rho, canonical_form(g)))
+        out.append((line, delta, result.value, rho))
     return out
 
 
 @dataclass
 class _CellBest:
-    population: int = 0
-    top: list[tuple[float, str, str]] = field(default_factory=list)  # (rho, canon, g6)
+    """Best rho of a cell, the graph6 lines tied at exactly that rho, and the
+    best rho below it."""
 
-    def add(self, rho: float, canon: str, g6: str) -> None:
+    population: int = 0
+    rho: float | None = None
+    tied: list[str] = field(default_factory=list)
+    below: float | None = None
+
+    def add(self, rho: float, g6: str) -> None:
         self.population += 1
-        self.top.append((rho, canon, g6))
-        # keep the two best; on equal rho the lexicographically least
-        # canonical form wins, making the merge order-independent
-        self.top.sort(key=lambda t: (-t[0], t[1]))
-        del self.top[2:]
+        if self.rho is None or rho > self.rho:
+            self.below = self.rho
+            self.rho = rho
+            self.tied = [g6]
+        elif rho == self.rho:
+            self.tied.append(g6)
+        elif self.below is None or rho > self.below:
+            self.below = rho
+
+    def second_rho(self) -> float | None:
+        return self.rho if len(self.tied) > 1 else self.below
+
+    def best(self) -> tuple[str, str]:
+        """(canonical form, graph6) of the best member. On an exact rho tie
+        the least canonical form wins, so the choice does not depend on the
+        order of the members (among equal forms, the first added wins)."""
+        canon, _, g6 = min(
+            (canonical_form(graph6_decode(line)), i, line)
+            for i, line in enumerate(self.tied)
+        )
+        return canon, g6
 
 
 @dataclass
@@ -152,6 +174,8 @@ def run_verification(
     """
     if mode not in (COMPONENT_MODE, NEIGHBOR_MODE):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == NEIGHBOR_MODE and r != 2:
+        raise ValueError(f"neighbor mode is the r = 2 specialization; got r = {r}")
     graphs = list(source) if source is not None else connected_census(n)
     for h in graphs:
         if h.n != n:
@@ -160,8 +184,8 @@ def run_verification(
     records = _scan_records(lines, g, r, mode, jobs)
 
     buckets: dict[tuple[int, int], _CellBest] = {}
-    for line, delta, k, rho, canon in records:
-        buckets.setdefault((delta, k), _CellBest()).add(rho, canon, line)
+    for line, delta, k, rho in records:
+        buckets.setdefault((delta, k), _CellBest()).add(rho, line)
 
     if cells is None:
         wanted = sorted(buckets)
@@ -201,9 +225,8 @@ def _cell_report(spec: ClassSpec, mode: str, cell: _CellBest | None) -> Verifica
     best_rho = best_g6 = best_canon = None
     second = None
     if cell:
-        best_rho, best_canon, best_g6 = cell.top[0]
-        if len(cell.top) > 1:
-            second = cell.top[1][0]
+        best_rho, second = cell.rho, cell.second_rho()
+        best_canon, best_g6 = cell.best()
 
     claimed_family = claimed_rho = claimed_g6 = None
     isomorphic = None

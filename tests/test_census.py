@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -97,6 +98,42 @@ def test_enumerate_streams_in_stable_order(monkeypatch):
         monkeypatch.setattr(census, "_census_cache", {})
         runs.append([graph6_encode(g) for g in connected_census(5)])
     assert runs[0] == runs[1]
+
+
+# sha256 of the ordered, newline-joined graph6 lines of connected_census(n),
+# generated before orbit pruning: members and their order must not change
+CENSUS_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "ff300d6b5191490a6a2d507279c750a00c4d53fb98b6e1b3e8b59ef7894631ec",
+    4: "59f05773e1599dbd0d7a4a269f3cf4b28b2db33e02c061f11cc56710029566f8",
+    5: "b464d15021b10ce593e1ff4e3d8007961284f62b404d597fd548e42e19407975",
+    6: "5b10ca0b43ce2f03e40ed371ee233b1653654334962c7e1613908db99a84af99",
+    7: "c8e1cca3fdec9f27faddabd4eca8b34ad4db427ef26073aed433b8874a2bea34",
+    8: "7b4360f5f590a8073cc969dfa8e886bd3f1228dc4cf553ad09c67344b4112e55",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_SHA256))
+def test_census_order_pinned(n):
+    lines = "\n".join(graph6_encode(g) for g in connected_census(n))
+    assert hashlib.sha256(lines.encode()).hexdigest() == CENSUS_SHA256[n]
+
+
+def test_generation_tries_one_subset_per_orbit(monkeypatch):
+    # the level-7 children tried are the subset orbits of the 112 parents
+    # (Burnside count), not 112 * 63; parents pass a list for generators
+    monkeypatch.setattr(census, "_census_cache", {})
+    tried = {}
+
+    def spy(g, automorphisms=None):
+        if automorphisms is None:
+            tried[g.n] = tried.get(g.n, 0) + 1
+        return canonical_form(g, automorphisms)
+
+    monkeypatch.setattr(census, "canonical_form", spy)
+    assert len(connected_census(7)) == 853
+    assert tried[7] == 3771
 
 
 def test_ingest_round_trip(tmp_path):

@@ -207,3 +207,13 @@ def test_verify_neighbor_mode(capsys):
     )
     assert code == 0
     assert "[CONFIRMED]" in out
+
+
+def test_verify_neighbor_mode_rejects_r_three(capsys):
+    code, out, err = run(
+        ["verify", "--n", "7", "--g", "0", "--r", "3", "--mode", "neighbor", "--all-classes"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "neighbor mode" in err and "r = 3" in err

@@ -1,5 +1,10 @@
+import hashlib
+import random
+from itertools import permutations
+
 import pytest
 
+from specconn.census import _orbit_minima, connected_census
 from specconn.connectivity import CutMode, CutQuery, min_cut
 from specconn.families import Family, FamilyParams, construct, witness_cut
 from specconn.graphs import (
@@ -145,3 +150,48 @@ def test_isomorphism_on_symmetric_graphs():
 def test_min_cut_respects_search_cap():
     with pytest.raises(ValueError):
         min_cut(complete_graph(21), CutQuery(0, 2, CutMode.CLASSIC))
+
+
+# canonical forms of the n <= 7 census under one seeded relabeling of each
+# member, joined by newlines (generated before the search was restructured)
+CANONICAL_RELABELED_SHA256 = "6fbf6ace4a3edcb2e48f3eed605888f81b3f5e489f1c59e0b478af91c0f33e4b"
+
+
+def test_canonical_forms_pinned_under_relabeling():
+    rng = random.Random(20240817)
+    forms = []
+    for n in range(1, 8):
+        for g in connected_census(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            forms.append(canonical_form(permute(g, perm)))
+    assert len(forms) == 996
+    assert hashlib.sha256("\n".join(forms).encode()).hexdigest() == CANONICAL_RELABELED_SHA256
+
+
+def test_automorphism_generators_are_automorphisms(rng):
+    graphs = [g for n in range(1, 8) for g in connected_census(n)]
+    graphs += [random_graph(rng, rng.randint(2, 10), rng.choice([0.2, 0.5, 0.8]))
+               for _ in range(300)]
+    for g in graphs:
+        generators: list = []
+        form = canonical_form(g, generators)
+        assert form == canonical_form(g)
+        for perm in generators:
+            assert sorted(perm) == list(range(g.n)) and list(perm) != list(range(g.n))
+            assert permute(g, perm) == g, (g, perm)
+
+
+def test_automorphism_generators_span_the_group():
+    # the subset orbits they induce are those of the whole automorphism group,
+    # found by trying all n! relabelings
+    for n in range(1, 7):
+        for g in connected_census(n):
+            group = [p for p in permutations(range(n)) if permute(g, p) == g]
+            brute = [
+                s for s in range(1, 1 << n)
+                if all(s <= mask_of(p[v] for v in vertices_of(s)) for p in group)
+            ]
+            generators: list = []
+            canonical_form(g, generators)
+            assert _orbit_minima(generators, n) == brute, g

@@ -5,12 +5,17 @@ import pytest
 from specconn.census import CONNECTED_COUNTS, connected_census
 from specconn.families import Family
 from specconn.graphs import (
+    canonical_form,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    degree_profile,
+    from_edges,
     graph6_decode,
+    graph6_encode,
     path_graph,
 )
+from specconn.spectral import spectral_radius
 from specconn.verify import (
     RHO_TOL,
     ClassSpec,
@@ -132,3 +137,38 @@ def test_explicit_source_stream():
     source = connected_census(6)
     reports = run_verification(6, 0, 2, source=source)
     assert all(rep.confirmed for rep in reports)
+
+
+def test_neighbor_mode_rejects_r_other_than_two():
+    for r in (1, 3):
+        with pytest.raises(ValueError, match="r = 2"):
+            run_verification(7, 0, r, mode="neighbor")
+    with pytest.raises(ValueError, match="r = 2"):
+        verify_class(ClassSpec(7, 1, 0, 3, 1), mode="neighbor")
+
+
+def test_exact_top_tie_goes_to_least_canonical_form():
+    # K_{3,3} and the triangular prism are non-isomorphic, cubic and
+    # 3-connected, and their computed rho is the same float; dropping every
+    # other graph of minimum degree 3 makes them the top of cell (3, 3)
+    k33 = complete_bipartite(3, 3)
+    prism = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                           (0, 3), (1, 4), (2, 5)])
+    assert spectral_radius(k33).rho == spectral_radius(prism).rho
+    assert canonical_form(k33) < canonical_form(prism)
+    rest = [h for h in connected_census(6) if degree_profile(h).min_degree != 3]
+    source = [prism, k33] + rest
+    assert len(source) >= 64  # enough records for --jobs to split the scan
+    runs = [
+        run_verification(6, 0, 2, source=source),
+        run_verification(6, 0, 2, source=source[::-1]),
+        run_verification(6, 0, 2, source=source, jobs=2),
+    ]
+    for reports in runs:
+        (cell,) = [rep for rep in reports if (rep.spec.delta, rep.spec.k) == (3, 3)]
+        assert cell.population == 2
+        assert cell.best_graph6 == graph6_encode(k33)
+        assert cell.best_canonical == canonical_form(k33)
+        assert cell.second_best_rho == cell.best_rho
+    first = reports_to_json(runs[0])
+    assert all(reports_to_json(reports) == first for reports in runs[1:])
