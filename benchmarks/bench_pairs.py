@@ -2,33 +2,38 @@
 """Paired perfbench runs of two checkouts, summarised as one BENCH_*.json.
 
 Usage:
-  python3 benchmarks/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_x.json \\
-      [--workload W ...] [--pairs 10] [--seed 11] [--seconds 30]
+  python3 benchmarks/bench_pairs.py PARENT_DIR CHANGE_DIR OUT_JSON
 
-Pair i of a workload runs `perfbench/run.py --workload W --seed SEED+i` in
-both checkouts, the parent first on even i and the change first on odd i.
-Then each checkout makes one traced run (`--trace 1`, seed SEED) for the
+Every perfbench workload is run in PAIRS pairs: pair i runs
+`perfbench/run.py --workload W --seed SEED+i --seconds SECONDS` in both
+checkouts, the parent first on even i and the change first on odd i. Then
+each checkout makes one traced run (`--trace 1`, seed SEED) for the
 per-layer metrics. Every run is kept; per metric the file gives each side's
 median and quartiles and, for the end-to-end metrics, how many pairs the
 change won. The environment (backend, nproc, git revision, src sha256) is
 perfbench's own record of each checkout.
 """
 
-import argparse
 import json
 import os
 import statistics
 import subprocess
 import sys
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+from worker import WORKLOADS  # noqa: E402
+
 SIDES = ("parent", "change")
+PAIRS = 10
+SEED = 11
+SECONDS = 30
 
 
-def perfbench(root: str, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
+def perfbench(root: str, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """(environment record, result) of one perfbench/run.py invocation."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=True,
     )
     record, result = proc.stdout.strip().splitlines()[-2:]
@@ -40,16 +45,16 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
-def compare(workload: str, roots: dict, pairs: int, seed: int, seconds: int) -> dict:
+def compare(workload: str, roots: dict) -> dict:
     runs = {side: [] for side in SIDES}
     env = {}
-    for i in range(pairs):
+    for i in range(PAIRS):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            record, result = perfbench(roots[side], workload, seed + i, seconds, 0)
+            record, result = perfbench(roots[side], workload, SEED + i, 0)
             env[side] = record["env"]
-            runs[side].append({"seed": seed + i, "correct": result["correct"],
+            runs[side].append({"seed": SEED + i, "correct": result["correct"],
                                **{k: m["value"] for k, m in result["metrics"].items()}})
-            print(workload, side, seed + i, runs[side][-1].get("wall_s"), file=sys.stderr)
+            print(workload, side, SEED + i, runs[side][-1].get("wall_s"), file=sys.stderr)
     better = {"wall_s": -1, "cpu_s": -1, "items_per_s": 1, "setup_s": -1, "peak_rss_mb": -1}
     end_to_end = {}
     for name, sign in better.items():
@@ -62,36 +67,28 @@ def compare(workload: str, roots: dict, pairs: int, seed: int, seconds: int) -> 
         }
     traced = {}
     for side in SIDES:
-        _, result = perfbench(roots[side], workload, seed, seconds, 1)
+        _, result = perfbench(roots[side], workload, SEED, 1)
         traced[side] = {k: m["value"] for k, m in result["metrics"].items()}
     return {"env": env, "end_to_end": end_to_end, "runs": runs, "per_layer_traced": traced}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--workload", action="append", default=None)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--seconds", type=int, default=30)
-    args = parser.parse_args(argv)
-    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    workloads = args.workload or ["census-verify", "ingest-sweep"]
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent, change, out_path = argv
+    roots = {"parent": os.path.abspath(parent), "change": os.path.abspath(change)}
     out = {
-        "pairs": args.pairs,
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "workloads": {
-            w: compare(w, roots, args.pairs, args.seed, args.seconds) for w in workloads
-        },
+        "pairs": PAIRS,
+        "seed": SEED,
+        "seconds": SECONDS,
+        "workloads": {w: compare(w, roots) for w in WORKLOADS},
     }
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(out, handle, indent=1)
         handle.write("\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

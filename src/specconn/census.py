@@ -11,7 +11,8 @@ Subsets in one orbit of the parent's automorphism group give isomorphic
 children, so only the least subset of each orbit is tried. Subsets are
 walked in ascending order, so that is the subset which would have been kept
 anyway: the census members and their order do not depend on the pruning.
-The group comes from the generators the parent's canonical search finds.
+The group comes from the generators the parent's canonical search
+(`graphs._canonical_adj`) finds.
 """
 
 import os
@@ -20,6 +21,7 @@ from typing import Iterable, Iterator, TextIO
 from .graphs import (
     Graph,
     GraphFormatError,
+    _canonical_adj,
     _trusted,
     canonical_form,
     empty_graph,
@@ -53,7 +55,7 @@ def connected_census(n: int) -> list[Graph]:
         new_bit = 1 << (n - 1)
         for parent in connected_census(n - 1):
             generators: list[tuple[int, ...]] = []
-            canonical_form(parent, generators)
+            _canonical_adj(parent, generators)
             for smask in _orbit_minima(generators, n - 1):
                 rows = [
                     row | new_bit if smask >> v & 1 else row

@@ -4,8 +4,9 @@ Vertices are labeled 0..n-1 and every neighborhood is a Python int used as a
 bitmask, so set algebra on neighborhoods is single machine-word work for the
 supported range n <= 64. Canonical labeling (and therefore isomorphism
 testing) is exact for n <= 12, which covers everything the verification
-pipeline compares; the same search also returns generators of the
-automorphism group on request, which census generation uses for pruning.
+pipeline compares; the same search (`_canonical_adj`) also returns
+generators of the automorphism group on request, which census generation
+uses for pruning.
 """
 
 from dataclasses import dataclass
@@ -317,20 +318,13 @@ def degree_profile(g: Graph) -> DegreeProfile:
 # automorphisms to the explored equivalent leaves and those transpositions
 # generate the whole group.
 
-def canonical_form(
-    g: Graph, automorphisms: list[tuple[int, ...]] | None = None
-) -> str:
-    """Canonical graph6 string; equal iff isomorphic (n <= 12).
-
-    When a list is passed as `automorphisms`, generators of the automorphism
-    group of g are appended to it, each a tuple `perm` that maps vertex v to
-    perm[v]; the identity is never among them.
-    """
+def canonical_form(g: Graph) -> str:
+    """Canonical graph6 string; equal iff isomorphic (n <= 12)."""
     if g.n > CANON_MAX_VERTICES:
         raise ValueError(
             f"exact canonicalization is limited to n <= {CANON_MAX_VERTICES}"
         )
-    return graph6_encode(_trusted(g.n, _canonical_adj(g, automorphisms)))
+    return graph6_encode(_trusted(g.n, _canonical_adj(g)))
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
@@ -371,6 +365,12 @@ def _refine(nbrs: list[tuple[int, ...]], colors: list[int]) -> list[int]:
 def _canonical_adj(
     g: Graph, automorphisms: list[tuple[int, ...]] | None = None
 ) -> tuple[int, ...]:
+    """Canonically relabeled adjacency of g.
+
+    When a list is passed as `automorphisms`, generators of the automorphism
+    group of g are appended to it, each a tuple `perm` that maps vertex v to
+    perm[v]; the identity is never among them.
+    """
     n, adj = g.n, g.adj
     nbrs = [vertices_of(row) for row in adj]
     best: tuple[int, ...] = ()

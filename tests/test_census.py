@@ -122,14 +122,13 @@ def test_census_order_pinned(n):
 
 def test_generation_tries_one_subset_per_orbit(monkeypatch):
     # the level-7 children tried are the subset orbits of the 112 parents
-    # (Burnside count), not 112 * 63; parents pass a list for generators
+    # (Burnside count), not 112 * 63; canonical_form sees only children
     monkeypatch.setattr(census, "_census_cache", {})
     tried = {}
 
-    def spy(g, automorphisms=None):
-        if automorphisms is None:
-            tried[g.n] = tried.get(g.n, 0) + 1
-        return canonical_form(g, automorphisms)
+    def spy(g):
+        tried[g.n] = tried.get(g.n, 0) + 1
+        return canonical_form(g)
 
     monkeypatch.setattr(census, "canonical_form", spy)
     assert len(connected_census(7)) == 853
