@@ -260,12 +260,21 @@ min_cut_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     uint64_t rows[MAX_N], fmask;
     int n, g, r, mode, lo, hi, size, i, j;
     int c[MAX_N + 1];
+    long long cap;
     if (parse_args("min_cut_search", args, nargs, kwnames, names, 5, a) < 0
         || read_adj(a[0], a[1], &n, rows) < 0 || as_int(a[2], &g) < 0
         || as_int(a[3], &r) < 0 || as_int(a[4], &mode) < 0)
         return NULL;
     lo = (mode == 0 || mode == 1) ? 0 : 1;
     hi = mode == 1 ? n + 1 : n;
+    if (mode == 2 || mode == 3) {
+        /* every survivor keeps g neighbours, so each of the >= need
+         * components has >= g + 1 vertices: no cut exceeds n - need*(g+1).
+         * In 64 bits the product of two ints cannot overflow. */
+        cap = (long long)n - (long long)(mode == 2 ? 2 : r) * ((long long)g + 1) + 1;
+        if (cap < hi)
+            hi = cap < lo ? lo : (int)cap;
+    }
     /* subsets of each size in lexicographic order, as itertools.combinations */
     for (size = lo; size < hi; size++) {
         for (i = 0; i < size; i++)

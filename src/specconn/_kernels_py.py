@@ -102,6 +102,11 @@ def min_cut_search(adj, n, g, r, mode):
     _check_order(adj, n)
     lo = 0 if mode in (0, 1) else 1
     hi = n + 1 if mode == 1 else n
+    if mode in (2, 3):
+        # every survivor keeps g neighbours, so each of the >= need
+        # components has >= g + 1 vertices: no cut exceeds n - need*(g+1)
+        need = 2 if mode == 2 else r
+        hi = min(hi, n - need * (g + 1) + 1)
     for size in range(lo, hi):
         for combo in combinations(range(n), size):
             fmask = 0

@@ -15,6 +15,12 @@ Searches enumerate candidate sets by increasing size and lexicographically
 within a size, so the returned certificate is the lexicographically least
 minimum cut. Complete graphs have no valid cut in NEIGHBOR/FULL mode; that is
 reported as None rather than an invented value.
+
+In NEIGHBOR/FULL mode the sizes stop at n - need*(g+1), where need is 2
+(NEIGHBOR) or r (FULL): every survivor keeps g neighbours inside the deleted
+graph, so each of the >= need components has >= g + 1 vertices, and no
+larger set can be a valid cut. Dropping those sizes changes no result and no
+certificate; it only ends the search early for graphs that have no cut.
 """
 
 from collections import deque

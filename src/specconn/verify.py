@@ -8,15 +8,29 @@ census, finds the rho-maximizer of each class, builds the claimed extremal
 family for the same parameters, and records whether the maximizer is
 isomorphic to it with matching rho. Reports record facts; they never assume the claim.
 
-Merging is associative and commutative with ties broken on canonical form
-(lexicographically least wins), so results are independent of --jobs. The
-scan carries only (graph6, delta, k, rho) per member; canonical forms are
-computed per cell, for the graphs tied at exactly the best rho and for the
-isomorphism check.
+Ties are broken on canonical form (lexicographically least wins), so
+results are independent of --jobs. The scan carries only (index, graph6,
+delta, k, m) per member, m its edge count; canonical forms are computed per
+cell, for the graphs tied at exactly the best rho and for the isomorphism
+check.
+
+A report needs only each cell's best rho, the members tied at it, and the
+second-best rho, so rho is solved only for members that could still be one
+of those. Every member is connected (min_cut rejects other graphs), so its
+rho is at most Hong's bound sqrt(2m - n + 1) (Y. Hong, Linear Algebra Appl.
+108, 1988). Members are visited in descending bound, and the visit stops at
+the first whose bound plus a slack of 1e-9*max(1, bound) falls below the
+second-best rho solved so far: the solver's Rayleigh quotient never exceeds
+the true rho by more than rounding, which the slack covers, so that member
+and every later one has a computed rho below the second best and can change
+neither the best, its ties, nor the second best. The solved members are then
+merged in input order, so among equal canonical forms the first added still
+wins.
 """
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -49,26 +63,26 @@ def _membership_query(g_param: int, r: int, mode: str) -> CutQuery:
     return CutQuery(g_param, r, CutMode.NEIGHBOR if mode == NEIGHBOR_MODE else CutMode.FULL)
 
 
-def _scan_chunk(args) -> list[tuple[str, int, int, float]]:
-    """Worker: classify a chunk of graph6 records, rho for members."""
-    lines, g_param, r, mode = args
+def _scan_chunk(args) -> list[tuple[int, str, int, int, int]]:
+    """Worker: classify a chunk of graph6 records starting at input index
+    `start`; (index, graph6, delta, k, m) for each member."""
+    start, lines, g_param, r, mode = args
     query = _membership_query(g_param, r, mode)
     out = []
-    for line in lines:
+    for index, line in enumerate(lines, start):
         g = graph6_decode(line)
-        delta = degree_profile(g).min_degree
+        degrees = degree_profile(g)
         result = min_cut(g, query)
         if result is None:
             continue
-        rho = spectral_radius(g).rho
-        out.append((line, delta, result.value, rho))
+        out.append((index, line, degrees.min_degree, result.value, sum(degrees.degrees) // 2))
     return out
 
 
 @dataclass
 class _CellBest:
     """Best rho of a cell, the graph6 lines tied at exactly that rho, and the
-    best rho below it."""
+    best rho below it; population counts every member, solved or not."""
 
     population: int = 0
     rho: float | None = None
@@ -76,7 +90,6 @@ class _CellBest:
     below: float | None = None
 
     def add(self, rho: float, g6: str) -> None:
-        self.population += 1
         if self.rho is None or rho > self.rho:
             self.below = self.rho
             self.rho = rho
@@ -176,16 +189,15 @@ def run_verification(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == NEIGHBOR_MODE and r != 2:
         raise ValueError(f"neighbor mode is the r = 2 specialization; got r = {r}")
-    graphs = list(source) if source is not None else connected_census(n)
-    for h in graphs:
+    lines = []
+    for h in source if source is not None else connected_census(n):
         if h.n != n:
             raise ValueError(f"source contains a graph of order {h.n}, expected {n}")
-    lines = [graph6_encode(h) for h in graphs]
-    records = _scan_records(lines, g, r, mode, jobs)
-
-    buckets: dict[tuple[int, int], _CellBest] = {}
-    for line, delta, k, rho in records:
-        buckets.setdefault((delta, k), _CellBest()).add(rho, line)
+        lines.append(graph6_encode(h))
+    members: dict[tuple[int, int], list[tuple[int, str, int, int, int]]] = {}
+    for record in _scan_records(lines, g, r, mode, jobs):
+        members.setdefault(record[2:4], []).append(record)
+    buckets = {cell: _cell_best(n, group) for cell, group in members.items()}
 
     if cells is None:
         wanted = sorted(buckets)
@@ -205,13 +217,34 @@ def run_verification(
     ]
 
 
+def _cell_best(n: int, group: list[tuple[int, str, int, int, int]]) -> _CellBest:
+    """Best, ties and second best of one cell's members (in input order),
+    solving rho only while the Hong bound can still reach the second best."""
+    probe = _CellBest()
+    solved = []
+    # descending m is descending bound: every member has order n
+    for index, line, _, _, m in sorted(group, key=lambda rec: rec[4], reverse=True):
+        bound = math.sqrt(2 * m - n + 1)
+        second = probe.second_rho()
+        if second is not None and bound + 1e-9 * max(1.0, bound) < second:
+            break
+        rho = spectral_radius(graph6_decode(line)).rho
+        probe.add(rho, line)
+        solved.append((index, rho, line))
+    solved.sort()
+    cell = _CellBest(population=len(group))
+    for _, rho, line in solved:
+        cell.add(rho, line)
+    return cell
+
+
 def _scan_records(lines, g, r, mode, jobs):
     if jobs <= 1 or len(lines) < 64:
-        return _scan_chunk((lines, g, r, mode))
+        return _scan_chunk((0, lines, g, r, mode))
     chunks = []
     step = max(32, (len(lines) + jobs * 4 - 1) // (jobs * 4))
     for i in range(0, len(lines), step):
-        chunks.append((lines[i : i + step], g, r, mode))
+        chunks.append((i, lines[i : i + step], g, r, mode))
     records = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for part in pool.map(_scan_chunk, chunks):

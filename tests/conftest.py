@@ -3,7 +3,7 @@ import importlib.util
 import random
 import subprocess
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,21 @@ def _brute_canonical_adj(g: Graph) -> tuple[int, ...]:
         if best is None or cand < best:
             best = cand
     return best
+
+
+def _brute_min_cut(adj, n: int, g: int, r: int, mode: int) -> int:
+    """Reference cut search over every size the modes allow, with no cap on
+    the size: first valid set by size, then lexicographically; -1 if none."""
+    from specconn._kernels_py import cut_valid
+
+    lo = 0 if mode in (0, 1) else 1
+    hi = n + 1 if mode == 1 else n
+    for size in range(lo, hi):
+        for combo in combinations(range(n), size):
+            fmask = sum(1 << v for v in combo)
+            if cut_valid(adj, n, fmask, g, r, mode):
+                return fmask
+    return -1
 
 
 @pytest.fixture

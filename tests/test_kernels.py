@@ -8,8 +8,9 @@ import pytest
 
 from specconn import _kernels_py
 from specconn import kernels
+from specconn.census import connected_census
 from specconn.spectral import iteration_cap
-from conftest import random_graph
+from conftest import _brute_min_cut, random_graph
 
 TOP_BIT = 1 << 63
 
@@ -86,6 +87,32 @@ def test_min_cut_parity(compiled, rng):
         for mode in range(4):
             assert compiled.min_cut_search(g.adj, g.n, gg, r, mode) == \
                 _kernels_py.min_cut_search(g.adj, g.n, gg, r, mode)
+
+
+def test_capped_min_cut_matches_uncapped_search(compiled):
+    # good-neighbor modes stop at size n - need*(g+1); on every connected
+    # graph of order <= 7 that gives the mask of the search over all sizes
+    queries = [(g, 2, 2) for g in range(3)]
+    queries += [(g, r, 3) for g in range(3) for r in (2, 3, 4)]
+    for n in range(1, 8):
+        for h in connected_census(n):
+            for g, r, mode in queries:
+                want = _brute_min_cut(h.adj, n, g, r, mode)
+                for module in (compiled, _kernels_py):
+                    assert module.min_cut_search(h.adj, n, g, r, mode) == want, \
+                        (module.BACKEND, h, g, r, mode)
+
+
+def test_min_cut_cap_with_threshold_past_int_range(compiled):
+    # need*(g+1) does not fit in a C int: no size is admissible
+    int_max = 2**31 - 1
+    adj = (0b110, 0b101, 0b011, 0b10000, 0b01000)
+    for g, r in ((int_max, 2), (int_max, int_max), (int_max // 2, 3)):
+        for mode in (2, 3):
+            assert compiled.min_cut_search(adj, 5, g, r, mode) == \
+                _kernels_py.min_cut_search(adj, 5, g, r, mode) == -1
+    # modes 0 and 1 ignore g, so the cap never applies there
+    assert compiled.min_cut_search(adj, 5, int_max, 2, 0) == 0
 
 
 def _assert_power_parity(compiled, g, comps):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from specconn import verify
 from specconn.census import CONNECTED_COUNTS, connected_census
+from specconn.connectivity import CutMode, CutQuery, min_cut
 from specconn.families import Family
 from specconn.graphs import (
     canonical_form,
@@ -14,6 +16,7 @@ from specconn.graphs import (
     graph6_decode,
     graph6_encode,
     path_graph,
+    permute,
 )
 from specconn.spectral import spectral_radius
 from specconn.verify import (
@@ -172,3 +175,72 @@ def test_exact_top_tie_goes_to_least_canonical_form():
         assert cell.second_best_rho == cell.best_rho
     first = reports_to_json(runs[0])
     assert all(reports_to_json(reports) == first for reports in runs[1:])
+
+
+def test_rho_is_solved_only_where_a_top_two_can_move(monkeypatch):
+    # pinned when the Hong-bound pruning landed: 125 members of the 512 in
+    # the census's ten cells, plus one rho per claimed family
+    calls = []
+
+    def spy(g, *args, **kwargs):
+        calls.append(g)
+        return spectral_radius(g, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "spectral_radius", spy)
+    reports = run_verification(7, 1, 2)
+    assert sum(rep.population for rep in reports) == 512
+    assert len(calls) == 135
+
+
+def _unpruned_cells(n, g, r, source):
+    """Per cell: population, best rho, its graph6 and the second-best rho,
+    from the rho of every member."""
+    query = CutQuery(g, r, CutMode.FULL)
+    cells = {}
+    for h in source:
+        result = min_cut(h, query)
+        if result is not None:
+            key = (degree_profile(h).min_degree, result.value)
+            cells.setdefault(key, []).append((spectral_radius(h).rho, h))
+    out = {}
+    for key, members in cells.items():
+        best = max(rho for rho, _ in members)
+        tied = [(canonical_form(h), i, graph6_encode(h))
+                for i, (rho, h) in enumerate(members) if rho == best]
+        below = [rho for rho, _ in members if rho < best]
+        second = best if len(tied) > 1 else max(below, default=None)
+        out[key] = (len(members), best, min(tied)[2], second)
+    return out
+
+
+@pytest.mark.parametrize("g", [0, 1])
+@pytest.mark.parametrize("r", [2, 3])
+def test_pruned_cells_match_rho_of_every_member(g, r, rng):
+    census = connected_census(7)
+    shuffled = [permute(h, rng.sample(range(7), 7)) for h in census]
+    rng.shuffle(shuffled)
+    for source in (census, shuffled):
+        reports = run_verification(7, g, r, source=source)
+        got = {
+            (rep.spec.delta, rep.spec.k):
+                (rep.population, rep.best_rho, rep.best_graph6, rep.second_best_rho)
+            for rep in reports
+        }
+        assert got == _unpruned_cells(7, g, r, source)
+
+
+def test_isomorphic_top_tie_goes_to_first_in_input_order():
+    census = connected_census(6)
+    (cell,) = [rep for rep in run_verification(6, 0, 2)
+               if (rep.spec.delta, rep.spec.k) == (1, 1)]
+    best = graph6_decode(cell.best_graph6)
+    copy = permute(best, [1, 0, 2, 3, 4, 5])
+    assert graph6_encode(copy) != cell.best_graph6
+    assert spectral_radius(copy).rho == cell.best_rho
+    source = census + [copy]
+    for ordered, first in ((source, cell.best_graph6), (source[::-1], graph6_encode(copy))):
+        (tied,) = [rep for rep in run_verification(6, 0, 2, source=ordered)
+                   if (rep.spec.delta, rep.spec.k) == (1, 1)]
+        assert tied.population == cell.population + 1
+        assert tied.best_rho == tied.second_best_rho == cell.best_rho
+        assert tied.best_graph6 == first
