@@ -71,11 +71,11 @@ def _scan_chunk(args) -> list[tuple[int, str, int, int, int]]:
     out = []
     for index, line in enumerate(lines, start):
         g = graph6_decode(line)
-        degrees = degree_profile(g)
+        profile = degree_profile(g)
         result = min_cut(g, query)
         if result is None:
             continue
-        out.append((index, line, degrees.min_degree, result.value, sum(degrees.degrees) // 2))
+        out.append((index, line, profile.min_degree, result.value, sum(profile.degrees) // 2))
     return out
 
 

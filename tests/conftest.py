@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specconn._kernels_py import cut_valid
 from specconn.graphs import Graph, bits, from_edges
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -48,8 +49,6 @@ def _brute_canonical_adj(g: Graph) -> tuple[int, ...]:
 def _brute_min_cut(adj, n: int, g: int, r: int, mode: int) -> int:
     """Reference cut search over every size the modes allow, with no cap on
     the size: first valid set by size, then lexicographically; -1 if none."""
-    from specconn._kernels_py import cut_valid
-
     lo = 0 if mode in (0, 1) else 1
     hi = n + 1 if mode == 1 else n
     for size in range(lo, hi):
