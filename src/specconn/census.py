@@ -1,18 +1,48 @@
 """Graph sources: built-in connected census and graph6 file ingestion.
 
-The built-in generator works level by level: every connected graph on n
-vertices arises from a connected graph on n-1 vertices (delete a non-cut
-vertex) by wiring a new vertex to a nonempty subset, so extending each census
-member by all nonempty subsets and deduplicating on canonical form yields
-exactly one representative per isomorphism class. Counts are pinned against
-the published census in tests.
+The built-in generator works level by level, by canonical augmentation
+(B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998). A child of a census member P of order n - 1 is P plus a new vertex
+v = n - 1 wired to a nonempty subset S. Subsets in one orbit of Aut(P) give
+isomorphic children, so only the least subset of each orbit is tried; the
+group comes from the generators of P's canonical search
+(`graphs._canonical_adj`).
 
-Subsets in one orbit of the parent's automorphism group give isomorphic
-children, so only the least subset of each orbit is tried. Subsets are
-walked in ascending order, so that is the subset which would have been kept
-anyway: the census members and their order do not depend on the pruning.
-The group comes from the generators the parent's canonical search
-(`graphs._canonical_adj`) finds.
+A child G is kept iff v lies in the canonical deletion orbit of G. The
+deletion candidates are the non-cut vertices of G that are largest, in
+lexicographic order, on the invariant (degree, sum of the neighbours'
+degrees, twice the triangles at the vertex); v is a non-cut vertex, since P
+is connected. The canonical deletion vertex c(G) is the candidate at the
+least position of G's canonical order, and the canonical deletion orbit is
+its orbit under Aut(G). Isomorphic graphs have their candidates at the same
+canonical positions, so an isomorphism G -> H followed by a suitable
+automorphism of H maps c(G) to c(H): isomorphisms carry canonical deletion
+orbits onto each other.
+
+The test rejects G without a search when a non-cut vertex beats v on the
+invariant. It accepts G without one when every other candidate is a twin of
+v (equal neighbourhoods apart from each other): swapping twins is an
+automorphism, so all candidates then share v's orbit. Otherwise one search
+gives both the canonical order and the generators the orbit is read from.
+Only vertices tied with v on the degree get the rest of the invariant.
+
+Each isomorphism class of connected graphs of order n is kept exactly once:
+
+- At least once. Take G in the class and m = c(G). m is not a cut vertex,
+  so G - m is connected and some phi maps it onto a census member P.
+  Extended by m -> v, phi maps G onto P + S with S = phi(N(m)), and v into
+  the canonical orbit of P + S. Some alpha in Aut(P) maps S to the least
+  subset S0 of its orbit; alpha extended by v -> v maps P + S onto P + S0
+  and fixes v, so P + S0 is tried and kept.
+- At most once. Let P1 + S1 and P2 + S2 both be kept, and psi an
+  isomorphism between them. psi maps the canonical orbit of the first onto
+  that of the second; both hold v, so psi composed with an automorphism of
+  the second fixes v. It then restricts to an isomorphism P1 -> P2, so
+  P1 = P2 (the census holds one graph per class), and to an automorphism
+  of P1 that maps S1 to S2. Both are least in their orbit, so S1 = S2.
+
+No set of graphs seen so far is kept: each child is judged on its own.
+Counts are pinned against the published census (OEIS A001349) in tests.
 """
 
 import os
@@ -23,21 +53,25 @@ from .graphs import (
     GraphFormatError,
     _canonical_adj,
     _trusted,
-    canonical_form,
+    _twins,
+    components,
     empty_graph,
     graph6_decode,
+    vertices_of,
 )
 
-# connected graphs per order (dedup oracle for small n, frozen census above)
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+# connected graphs per order (OEIS A001349)
+CONNECTED_COUNTS = {
+    1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080,
+}
 
-GENERATOR_CAP = 8
+GENERATOR_CAP = 9
 
 _census_cache: dict[int, list[Graph]] = {}
 
 
 def connected_census(n: int) -> list[Graph]:
-    """All connected graphs of order n up to isomorphism (cached, n <= 8)."""
+    """All connected graphs of order n up to isomorphism (cached, n <= 9)."""
     if n < 1:
         raise ValueError("order must be >= 1")
     if n > GENERATOR_CAP:
@@ -51,11 +85,11 @@ def connected_census(n: int) -> list[Graph]:
         level = [empty_graph(1)]
     else:
         level = []
-        seen: set[str] = set()
         new_bit = 1 << (n - 1)
         for parent in connected_census(n - 1):
             generators: list[tuple[int, ...]] = []
             _canonical_adj(parent, generators)
+            split = [components(parent, 1 << u) for u in range(n - 1)]
             for smask in _orbit_minima(generators, n - 1):
                 rows = [
                     row | new_bit if smask >> v & 1 else row
@@ -63,12 +97,58 @@ def connected_census(n: int) -> list[Graph]:
                 ]
                 rows.append(smask)
                 child = _trusted(n, tuple(rows))
-                key = canonical_form(child)
-                if key not in seen:
-                    seen.add(key)
+                if _is_canonical_augmentation(child, split):
                     level.append(child)
     _census_cache[n] = level
     return level
+
+
+def _is_canonical_augmentation(child: Graph, split: list[list[int]]) -> bool:
+    """Whether the last vertex v lies in the canonical deletion orbit.
+
+    split[u] lists the components of child - v - u, so u is a non-cut vertex
+    of child iff v's neighbourhood meets each of them.
+    """
+    adj = child.adj
+    v = child.n - 1
+    smask = adj[v]
+    top = smask.bit_count()
+    tied = [v]
+    for u in range(v):
+        degree = adj[u].bit_count()
+        if degree >= top and all(smask & part for part in split[u]):
+            if degree > top:
+                return False
+            tied.append(u)
+    if len(tied) > 1:
+        key = [_fine_invariant(adj, u) for u in tied]
+        if key[0] < max(key):
+            return False
+        tied = [u for u, k in zip(tied, key) if k == key[0]]
+    if all(_twins(adj, u, v) for u in tied[1:]):
+        return True
+    generators: list[tuple[int, ...]] = []
+    _, order = _canonical_adj(child, generators)
+    first = next(u for u in order if u in tied)
+    orbit = {first}
+    stack = [first]
+    while stack:
+        u = stack.pop()
+        for perm in generators:
+            if perm[u] not in orbit:
+                orbit.add(perm[u])
+                stack.append(perm[u])
+    return v in orbit
+
+
+def _fine_invariant(adj: tuple[int, ...], u: int) -> tuple[int, int]:
+    """Sum of the degrees of u's neighbours, and twice the triangles at u."""
+    row = adj[u]
+    nbrs = vertices_of(row)
+    return (
+        sum(adj[w].bit_count() for w in nbrs),
+        sum((row & adj[w]).bit_count() for w in nbrs),
+    )
 
 
 def _orbit_minima(generators: list[tuple[int, ...]], m: int) -> list[int]:

@@ -301,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--all-classes", action="store_true")
-    p.add_argument("--input", help="graph6 file covering the census (required for n > 8)")
+    p.add_argument(
+        "--input",
+        help=f"graph6 file covering the census (required for n > {GENERATOR_CAP})",
+    )
     p.add_argument("--json", help="write reports to this JSON file")
     p.add_argument("--csv", help="write reports to this CSV file")
     p.add_argument(

@@ -4,9 +4,10 @@ Vertices are labeled 0..n-1 and every neighborhood is a Python int used as a
 bitmask, so set algebra on neighborhoods is single machine-word work for the
 supported range n <= 64. Canonical labeling (and therefore isomorphism
 testing) is exact for n <= 12, which covers everything the verification
-pipeline compares; the same search (`_canonical_adj`) also returns
-generators of the automorphism group on request, which census generation
-uses for pruning.
+pipeline compares; the same search (`_canonical_adj`) also returns the
+canonical order of the vertices, and generators of the automorphism group
+on request, which census generation uses for pruning and for its canonical
+augmentation test.
 """
 
 from dataclasses import dataclass
@@ -324,7 +325,7 @@ def canonical_form(g: Graph) -> str:
         raise ValueError(
             f"exact canonicalization is limited to n <= {CANON_MAX_VERTICES}"
         )
-    return graph6_encode(_trusted(g.n, _canonical_adj(g)))
+    return graph6_encode(_trusted(g.n, _canonical_adj(g)[0]))
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
@@ -364,12 +365,14 @@ def _refine(nbrs: list[tuple[int, ...]], colors: list[int]) -> list[int]:
 
 def _canonical_adj(
     g: Graph, automorphisms: list[tuple[int, ...]] | None = None
-) -> tuple[int, ...]:
-    """Canonically relabeled adjacency of g.
+) -> tuple[tuple[int, ...], list[int]]:
+    """Canonically relabeled adjacency of g, and the canonical order.
 
-    When a list is passed as `automorphisms`, generators of the automorphism
-    group of g are appended to it, each a tuple `perm` that maps vertex v to
-    perm[v]; the identity is never among them.
+    The order lists the vertices of g by canonical position: vertex order[p]
+    becomes vertex p of the relabeled graph. When a list is passed as
+    `automorphisms`, generators of the automorphism group of g are appended
+    to it, each a tuple `perm` that maps vertex v to perm[v]; the identity is
+    never among them.
     """
     n, adj = g.n, g.adj
     nbrs = [vertices_of(row) for row in adj]
@@ -417,7 +420,7 @@ def _canonical_adj(
     descend([degree_rank.index(len(nb)) for nb in nbrs])
     if automorphisms is not None:
         automorphisms.extend(sorted(found))
-    return best
+    return best, best_order
 
 
 def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:

@@ -183,7 +183,7 @@ def run_verification(
 
     cells: explicit (delta, k) cells, or None for every nonempty cell found.
     source: any iterable of graphs covering all isomorphism classes of
-    connected graphs of order n; defaults to the built-in census (n <= 8).
+    connected graphs of order n; defaults to the built-in census (n <= 9).
     """
     if mode not in (COMPONENT_MODE, NEIGHBOR_MODE):
         raise ValueError(f"unknown mode {mode!r}")

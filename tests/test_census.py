@@ -1,9 +1,10 @@
 import hashlib
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
-from specconn import census
+from specconn import census, graphs
 from specconn.census import (
     CONNECTED_COUNTS,
     connected_census,
@@ -73,7 +74,7 @@ def test_count_order_six_against_canonical_dedup():
 
 
 def test_census_matches_published_counts():
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert len(connected_census(n)) == CONNECTED_COUNTS[n]
 
 
@@ -86,7 +87,7 @@ def test_census_members_are_connected_and_distinct():
 
 def test_generator_cap():
     with pytest.raises(ValueError):
-        connected_census(9)
+        connected_census(10)
     with pytest.raises(ValueError):
         connected_census(0)
 
@@ -100,17 +101,17 @@ def test_enumerate_streams_in_stable_order(monkeypatch):
     assert runs[0] == runs[1]
 
 
-# sha256 of the ordered, newline-joined graph6 lines of connected_census(n),
-# generated before orbit pruning: members and their order must not change
+# sha256 of the ordered, newline-joined graph6 lines of connected_census(n):
+# the representatives and their order that canonical augmentation keeps
 CENSUS_SHA256 = {
     1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
     2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
     3: "ff300d6b5191490a6a2d507279c750a00c4d53fb98b6e1b3e8b59ef7894631ec",
     4: "59f05773e1599dbd0d7a4a269f3cf4b28b2db33e02c061f11cc56710029566f8",
-    5: "b464d15021b10ce593e1ff4e3d8007961284f62b404d597fd548e42e19407975",
-    6: "5b10ca0b43ce2f03e40ed371ee233b1653654334962c7e1613908db99a84af99",
-    7: "c8e1cca3fdec9f27faddabd4eca8b34ad4db427ef26073aed433b8874a2bea34",
-    8: "7b4360f5f590a8073cc969dfa8e886bd3f1228dc4cf553ad09c67344b4112e55",
+    5: "0e370540a2934e6ed46b227b6ee2d0e3258614e2020397596f22d8ee109d3588",
+    6: "1f17f4e200cd490be3273fc7b70a31d62d43e4afdb0edad78efe6551818f5484",
+    7: "2e8ff5bcb5d7b94d09acac71697e5b6bfd531f0846224c68020f20fa8ba29074",
+    8: "bb512ea78c13ff630745ee11dd4cbf5dd5b40fa63f7d92a1132fd843831adee5",
 }
 
 
@@ -120,19 +121,61 @@ def test_census_order_pinned(n):
     assert hashlib.sha256(lines.encode()).hexdigest() == CENSUS_SHA256[n]
 
 
+# sha256 of the sorted, newline-joined canonical forms of connected_census(n),
+# generated with the earlier generator that deduplicated on canonical form:
+# the census holds the same isomorphism classes, each once
+CANONICAL_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "2c1256ffd0617e16898c604363be63a1bf9bd24d83d6227d4b2adb3360248bd3",
+    4: "3476f1ed7e7e1a2e417015b47a14176cd3449d71346f351860c4b95334771d1e",
+    5: "8f268b88b0765ccd3e3d5723cba3828ff9ef6e7f0b1cc2adf1042332c799c13f",
+    6: "d26fccaebdf35b38dd8b2dbb625418cc22829fa7b5c3aab401a50be19563d4a3",
+    7: "aa0927187a0e2ddbb68c36451f3aa245a2e92b18e669a8b8c6c24c8b2aa5639a",
+    8: "97d967279304221f1d7b1d948d4e73de63cfe85d2bd786d5fc5bd7f4a985d6c6",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CANONICAL_SHA256))
+def test_census_canonical_forms_pinned(n):
+    forms = sorted(canonical_form(g) for g in connected_census(n))
+    assert len(set(forms)) == len(forms) == CONNECTED_COUNTS[n]
+    assert hashlib.sha256("\n".join(forms).encode()).hexdigest() == CANONICAL_SHA256[n]
+
+
 def test_generation_tries_one_subset_per_orbit(monkeypatch):
-    # the level-7 children tried are the subset orbits of the 112 parents
-    # (Burnside count), not 112 * 63; canonical_form sees only children
+    # each level tries one child per subset orbit of each parent (the
+    # Burnside count: 3,771 at level 7, not 112 * 63). A child is searched
+    # at most once, and only when the invariant leaves it tied with a
+    # non-twin for deletion. Every search is counted, through
+    # graphs.canonical_form too
     monkeypatch.setattr(census, "_census_cache", {})
-    tried = {}
+    connected_census(6)
+    tried = Counter()
+    searched = Counter()
+    real_test = census._is_canonical_augmentation
+    real_search = graphs._canonical_adj
 
-    def spy(g):
-        tried[g.n] = tried.get(g.n, 0) + 1
-        return canonical_form(g)
+    def judge(child, split):
+        tried[child.n] += 1
+        return real_test(child, split)
 
-    monkeypatch.setattr(census, "canonical_form", spy)
-    assert len(connected_census(7)) == 853
-    assert tried[7] == 3771
+    def search(g, automorphisms=None):
+        searched[g.n, g.adj] += 1
+        return real_search(g, automorphisms)
+
+    monkeypatch.setattr(census, "_is_canonical_augmentation", judge)
+    monkeypatch.setattr(census, "_canonical_adj", search)
+    monkeypatch.setattr(graphs, "_canonical_adj", search)
+    child_searches = {}
+    for n, parents in ((7, 112), (8, 853)):
+        searched.clear()
+        assert len(connected_census(n)) == CONNECTED_COUNTS[n]
+        assert set(searched.values()) == {1}
+        assert sum(order == n - 1 for order, _ in searched) == parents
+        child_searches[n] = sum(order == n for order, _ in searched)
+    assert tried == {7: 3771, 8: 67141}
+    assert child_searches == {7: 157, 8: 1873}
 
 
 def test_ingest_round_trip(tmp_path):

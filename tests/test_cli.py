@@ -168,7 +168,7 @@ def test_verify_usage_errors(capsys):
     assert code == 1
     code, _, err = run(["verify", "--n", "6", "--g", "0", "--delta", "2"], capsys)
     assert code == 1
-    code, _, err = run(["verify", "--n", "9", "--g", "0", "--all-classes"], capsys)
+    code, _, err = run(["verify", "--n", "10", "--g", "0", "--all-classes"], capsys)
     assert code == 1
     assert "--input" in err
 
