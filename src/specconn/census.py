@@ -41,7 +41,7 @@ Each isomorphism class of connected graphs of order n is kept exactly once:
   P1 = P2 (the census holds one graph per class), and to an automorphism
   of P1 that maps S1 to S2. Both are least in their orbit, so S1 = S2.
 
-No set of graphs seen so far is kept: each child is judged on its own.
+Each child is judged on its own, so memory holds only the levels.
 Counts are pinned against the published census (OEIS A001349) in tests.
 """
 

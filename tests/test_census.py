@@ -150,7 +150,7 @@ def test_generation_tries_one_subset_per_orbit(monkeypatch):
     # non-twin for deletion. Every search is counted, through
     # graphs.canonical_form too
     monkeypatch.setattr(census, "_census_cache", {})
-    connected_census(6)
+    connected_census(6)  # before the spies: a level-6 child is a level-7 parent
     tried = Counter()
     searched = Counter()
     real_test = census._is_canonical_augmentation
