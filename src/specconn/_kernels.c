@@ -15,6 +15,8 @@
 #include <stdint.h>
 
 #define MAX_N 64
+/* exhaustive cut search order cap; the same as _kernels_py.SEARCH_MAX_N */
+#define SEARCH_MAX_N 20
 
 #if defined(__GNUC__) || defined(__clang__)
 #define POPCOUNT64(x) __builtin_popcountll(x)
@@ -265,6 +267,12 @@ min_cut_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         || read_adj(a[0], a[1], &n, rows) < 0 || as_int(a[2], &g) < 0
         || as_int(a[3], &r) < 0 || as_int(a[4], &mode) < 0)
         return NULL;
+    if (n > SEARCH_MAX_N) {
+        PyErr_Format(PyExc_ValueError,
+                     "exhaustive cut search is capped at %d vertices, got n = %d",
+                     SEARCH_MAX_N, n);
+        return NULL;
+    }
     lo = (mode == 0 || mode == 1) ? 0 : 1;
     hi = mode == 1 ? n + 1 : n;
     if (mode == 2 || mode == 3) {
@@ -437,7 +445,8 @@ PyInit__kernels(void)
     PyObject *m = PyModule_Create(&kernels_module);
     if (m == NULL)
         return NULL;
-    if (PyModule_AddStringConstant(m, "BACKEND", "c") < 0) {
+    if (PyModule_AddStringConstant(m, "BACKEND", "c") < 0
+        || PyModule_AddIntConstant(m, "SEARCH_MAX_N", SEARCH_MAX_N) < 0) {
         Py_DECREF(m);
         return NULL;
     }

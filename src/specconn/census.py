@@ -41,6 +41,11 @@ Each isomorphism class of connected graphs of order n is kept exactly once:
   P1 = P2 (the census holds one graph per class), and to an automorphism
   of P1 that maps S1 to S2. Both are least in their orbit, so S1 = S2.
 
+A search made for the test also yields Aut(G). When G is kept and its level
+is generated as the parents of the next, those generators are kept with it
+and its own parent search is skipped; the search is deterministic, so the
+children and their order are the same either way.
+
 Each child is judged on its own, so memory holds only the levels.
 Counts are pinned against the published census (OEIS A001349) in tests.
 """
@@ -69,6 +74,12 @@ GENERATOR_CAP = 9
 
 _census_cache: dict[int, list[Graph]] = {}
 
+# Aut generators of a level's members, where its children's canonical
+# augmentation tests already searched them (None elsewhere). Kept only for
+# a level generated as the parents of the next, which consumes them.
+_parent_levels: set[int] = set()
+_parent_generators: dict[int, list[list[tuple[int, ...]] | None]] = {}
+
 
 def connected_census(n: int) -> list[Graph]:
     """All connected graphs of order n up to isomorphism (cached, n <= 9)."""
@@ -81,14 +92,22 @@ def connected_census(n: int) -> list[Graph]:
         )
     if n in _census_cache:
         return _census_cache[n]
-    if n == 1:
-        level = [empty_graph(1)]
-    else:
-        level = []
+    level: list[Graph] = [empty_graph(1)] if n == 1 else []
+    # found[i]: Aut generators of level[i] if its augmentation test searched;
+    # collected only when the next level is being generated from this one
+    found = [None] * len(level) if n in _parent_levels else None
+    if n > 1:
+        _parent_levels.add(n - 1)
+        try:
+            parents = connected_census(n - 1)
+        finally:
+            _parent_levels.discard(n - 1)
+        known = _parent_generators.pop(n - 1, None) or [None] * len(parents)
         new_bit = 1 << (n - 1)
-        for parent in connected_census(n - 1):
-            generators: list[tuple[int, ...]] = []
-            _canonical_adj(parent, generators)
+        for parent, generators in zip(parents, known):
+            if generators is None:
+                generators = []
+                _canonical_adj(parent, generators)
             split = [components(parent, 1 << u) for u in range(n - 1)]
             for smask in _orbit_minima(generators, n - 1):
                 rows = [
@@ -97,14 +116,22 @@ def connected_census(n: int) -> list[Graph]:
                 ]
                 rows.append(smask)
                 child = _trusted(n, tuple(rows))
-                if _is_canonical_augmentation(child, split):
+                keep, child_generators = _is_canonical_augmentation(child, split)
+                if keep:
                     level.append(child)
+                    if found is not None:
+                        found.append(child_generators)
+    if found is not None:
+        _parent_generators[n] = found
     _census_cache[n] = level
     return level
 
 
-def _is_canonical_augmentation(child: Graph, split: list[list[int]]) -> bool:
-    """Whether the last vertex v lies in the canonical deletion orbit.
+def _is_canonical_augmentation(
+    child: Graph, split: list[list[int]]
+) -> tuple[bool, list[tuple[int, ...]] | None]:
+    """Whether the last vertex v lies in the canonical deletion orbit, and
+    the generators of Aut(child) when the test ran a search (else None).
 
     split[u] lists the components of child - v - u, so u is a non-cut vertex
     of child iff v's neighbourhood meets each of them.
@@ -118,15 +145,15 @@ def _is_canonical_augmentation(child: Graph, split: list[list[int]]) -> bool:
         degree = adj[u].bit_count()
         if degree >= top and all(smask & part for part in split[u]):
             if degree > top:
-                return False
+                return False, None
             tied.append(u)
     if len(tied) > 1:
         key = [_fine_invariant(adj, u) for u in tied]
         if key[0] < max(key):
-            return False
+            return False, None
         tied = [u for u, k in zip(tied, key) if k == key[0]]
     if all(_twins(adj, u, v) for u in tied[1:]):
-        return True
+        return True, None
     generators: list[tuple[int, ...]] = []
     _, order = _canonical_adj(child, generators)
     first = next(u for u in order if u in tied)
@@ -138,7 +165,7 @@ def _is_canonical_augmentation(child: Graph, split: list[list[int]]) -> bool:
             if perm[u] not in orbit:
                 orbit.add(perm[u])
                 stack.append(perm[u])
-    return v in orbit
+    return v in orbit, generators
 
 
 def _fine_invariant(adj: tuple[int, ...], u: int) -> tuple[int, int]:

@@ -11,10 +11,17 @@ Modes:
   NEIGHBOR   smallest nonempty F disconnecting with residual degrees >= g
   FULL       NEIGHBOR strengthened to >= r components
 
-Searches enumerate candidate sets by increasing size and lexicographically
-within a size, so the returned certificate is the lexicographically least
-minimum cut. Complete graphs have no valid cut in NEIGHBOR/FULL mode; that is
-reported as None rather than an invented value.
+The returned certificate is the lexicographically least minimum cut: the
+least valid set of the smallest size, comparing sets as sorted vertex
+tuples. The two kernel backends find it differently. The C kernel tests
+candidate sets by increasing size and lexicographically within a size and
+stops at the first valid one. The pure-Python kernel decides all 2^n
+survivor sets at once, one bit each of 2^n-bit integers, and takes the
+lowest set bit of the valid sets of the smallest size, which encodes the
+same cut (see specconn._kernels_py). Either way the search is exhaustive
+and capped at SEARCH_MAX_VERTICES vertices. Complete graphs have no valid
+cut in NEIGHBOR/FULL mode; that is reported as None rather than an invented
+value.
 
 In NEIGHBOR/FULL mode the sizes stop at n - need*(g+1), where need is 2
 (NEIGHBOR) or r (FULL): every survivor keeps g neighbours inside the deleted
@@ -31,7 +38,7 @@ from typing import NamedTuple
 from . import kernels
 from .graphs import Graph, is_connected
 
-SEARCH_MAX_VERTICES = 20
+SEARCH_MAX_VERTICES = kernels.SEARCH_MAX_N
 
 
 class CutMode(IntEnum):
@@ -98,14 +105,9 @@ def is_valid_cut(g: Graph, fmask: int, query: CutQuery) -> CutCertificate | None
 def min_cut(g: Graph, query: CutQuery) -> MinCut | None:
     """Minimum-size valid cut with its certificate; None if no set qualifies.
 
-    Exhaustive bitset search, increasing size, lexicographic within a size;
-    the first hit is returned, so the certificate is the lexicographically
-    least minimizer.
+    Exhaustive search; the certificate is the lexicographically least
+    minimizer. The kernel raises ValueError past SEARCH_MAX_VERTICES.
     """
-    if g.n > SEARCH_MAX_VERTICES:
-        raise ValueError(
-            f"exhaustive cut search is capped at {SEARCH_MAX_VERTICES} vertices"
-        )
     if not is_connected(g):
         raise ValueError("cut search expects a connected graph")
     fmask = kernels.min_cut_search(g.adj, g.n, query.g, query.r, int(query.mode))

@@ -3,8 +3,15 @@
 The hot loops (flood fill, exhaustive cut search, power iteration) exist
 twice: a hand-written C extension (specconn._kernels, built from
 _kernels.c by setup.py) and a pure-Python fallback (specconn._kernels_py)
-with identical signatures. The compiled version is used when importable;
-set SPECCONN_PURE=1 to force the fallback.
+with identical signatures and results. The compiled version is used when
+importable; set SPECCONN_PURE=1 to force the fallback.
+
+The two cut searches reach the same certificate by different routes. The C
+kernel tests candidate cuts one at a time, by size and lexicographically
+within a size, and stops at the first valid one. The pure kernel evaluates
+the validity predicate for all 2^n survivor sets at once with bitwise
+operations on 2^n-bit integers, then reads the least valid cut of the
+smallest size off those bits. Both reject n > SEARCH_MAX_N.
 """
 
 import os
@@ -18,6 +25,7 @@ else:
         from . import _kernels_py as _impl
 
 BACKEND: str = _impl.BACKEND
+SEARCH_MAX_N: int = _impl.SEARCH_MAX_N
 components_masks = _impl.components_masks
 cut_valid = _impl.cut_valid
 min_cut_search = _impl.min_cut_search

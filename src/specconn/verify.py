@@ -12,7 +12,9 @@ Ties are broken on canonical form (lexicographically least wins), so
 results are independent of --jobs. The scan carries only (index, graph6,
 delta, k, m) per member, m its edge count; canonical forms are computed per
 cell, for the graphs tied at exactly the best rho and for the isomorphism
-check.
+check. With one job the scan classifies each source graph as it is read and
+encodes only the members; with more, the whole source is encoded and
+shipped to worker processes as graph6 lines.
 
 A report needs only each cell's best rho, the members tied at it, and the
 second-best rho, so rho is solved only for members that could still be one
@@ -33,7 +35,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .census import connected_census
 from .connectivity import CutMode, CutQuery, min_cut
@@ -63,6 +65,15 @@ def _membership_query(g_param: int, r: int, mode: str) -> CutQuery:
     return CutQuery(g_param, r, CutMode.NEIGHBOR if mode == NEIGHBOR_MODE else CutMode.FULL)
 
 
+def _classify(g: Graph, query: CutQuery) -> tuple[int, int, int] | None:
+    """(delta, k, m) of a class member, None for a graph with no cut."""
+    result = min_cut(g, query)
+    if result is None:
+        return None
+    profile = degree_profile(g)
+    return profile.min_degree, result.value, sum(profile.degrees) // 2
+
+
 def _scan_chunk(args) -> list[tuple[int, str, int, int, int]]:
     """Worker: classify a chunk of graph6 records starting at input index
     `start`; (index, graph6, delta, k, m) for each member."""
@@ -70,12 +81,9 @@ def _scan_chunk(args) -> list[tuple[int, str, int, int, int]]:
     query = _membership_query(g_param, r, mode)
     out = []
     for index, line in enumerate(lines, start):
-        g = graph6_decode(line)
-        profile = degree_profile(g)
-        result = min_cut(g, query)
-        if result is None:
-            continue
-        out.append((index, line, profile.min_degree, result.value, sum(profile.degrees) // 2))
+        member = _classify(graph6_decode(line), query)
+        if member is not None:
+            out.append((index, line, *member))
     return out
 
 
@@ -189,13 +197,19 @@ def run_verification(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == NEIGHBOR_MODE and r != 2:
         raise ValueError(f"neighbor mode is the r = 2 specialization; got r = {r}")
-    lines = []
-    for h in source if source is not None else connected_census(n):
-        if h.n != n:
-            raise ValueError(f"source contains a graph of order {h.n}, expected {n}")
-        lines.append(graph6_encode(h))
+    graphs = _of_order(source if source is not None else connected_census(n), n)
+    if jobs <= 1:
+        # classify each graph as it is read; only members are encoded
+        query = _membership_query(g, r, mode)
+        records = []
+        for index, h in enumerate(graphs):
+            member = _classify(h, query)
+            if member is not None:
+                records.append((index, graph6_encode(h), *member))
+    else:
+        records = _scan_records([graph6_encode(h) for h in graphs], g, r, mode, jobs)
     members: dict[tuple[int, int], list[tuple[int, str, int, int, int]]] = {}
-    for record in _scan_records(lines, g, r, mode, jobs):
+    for record in records:
         members.setdefault(record[2:4], []).append(record)
     buckets = {cell: _cell_best(n, group) for cell, group in members.items()}
 
@@ -215,6 +229,13 @@ def run_verification(
         _cell_report(ClassSpec(n, delta, g, r, k), mode, buckets.get((delta, k)))
         for delta, k in wanted
     ]
+
+
+def _of_order(graphs: Iterable[Graph], n: int) -> Iterator[Graph]:
+    for h in graphs:
+        if h.n != n:
+            raise ValueError(f"source contains a graph of order {h.n}, expected {n}")
+        yield h
 
 
 def _cell_best(n: int, group: list[tuple[int, str, int, int, int]]) -> _CellBest:
@@ -239,7 +260,7 @@ def _cell_best(n: int, group: list[tuple[int, str, int, int, int]]) -> _CellBest
 
 
 def _scan_records(lines, g, r, mode, jobs):
-    if jobs <= 1 or len(lines) < 64:
+    if len(lines) < 64:
         return _scan_chunk((0, lines, g, r, mode))
     chunks = []
     step = max(32, (len(lines) + jobs * 4 - 1) // (jobs * 4))

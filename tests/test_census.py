@@ -147,35 +147,51 @@ def test_generation_tries_one_subset_per_orbit(monkeypatch):
     # each level tries one child per subset orbit of each parent (the
     # Burnside count: 3,771 at level 7, not 112 * 63). A child is searched
     # at most once, and only when the invariant leaves it tied with a
-    # non-twin for deletion. Every search is counted, through
+    # non-twin for deletion. A kept child's search also gives its
+    # generators as a parent when its level is generated for the next one,
+    # so no graph is searched twice. Every search is counted, through
     # graphs.canonical_form too
     monkeypatch.setattr(census, "_census_cache", {})
     connected_census(6)  # before the spies: a level-6 child is a level-7 parent
     tried = Counter()
     searched = Counter()
+    child_searches = Counter()
+    parent_searches = Counter()
+    judging = False
     real_test = census._is_canonical_augmentation
     real_search = graphs._canonical_adj
 
     def judge(child, split):
+        nonlocal judging
         tried[child.n] += 1
-        return real_test(child, split)
+        judging = True
+        try:
+            return real_test(child, split)
+        finally:
+            judging = False
 
     def search(g, automorphisms=None):
         searched[g.n, g.adj] += 1
+        (child_searches if judging else parent_searches)[g.n] += 1
         return real_search(g, automorphisms)
 
     monkeypatch.setattr(census, "_is_canonical_augmentation", judge)
     monkeypatch.setattr(census, "_canonical_adj", search)
     monkeypatch.setattr(graphs, "_canonical_adj", search)
-    child_searches = {}
-    for n, parents in ((7, 112), (8, 853)):
-        searched.clear()
-        assert len(connected_census(n)) == CONNECTED_COUNTS[n]
-        assert set(searched.values()) == {1}
-        assert sum(order == n - 1 for order, _ in searched) == parents
-        child_searches[n] = sum(order == n for order, _ in searched)
+    # level 7 is generated here as the parents of level 8
+    assert len(connected_census(8)) == CONNECTED_COUNTS[8]
+    assert set(searched.values()) == {1}
     assert tried == {7: 3771, 8: 67141}
     assert child_searches == {7: 157, 8: 1873}
+    # level 6 was generated on its own, so all 112 of its members are
+    # searched as parents; 136 of level 7's 853 reuse their child search
+    assert parent_searches == {6: 112, 7: 853 - 136}
+    # level 8 was the one asked for, so it keeps no generators
+    assert census._parent_generators == {}
+    # reused generators give the same children in the same order
+    for n in (7, 8):
+        lines = "\n".join(graph6_encode(g) for g in connected_census(n))
+        assert hashlib.sha256(lines.encode()).hexdigest() == CENSUS_SHA256[n]
 
 
 def test_ingest_round_trip(tmp_path):

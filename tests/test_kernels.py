@@ -1,14 +1,21 @@
 """Parity between the compiled kernels and the pure-Python fallback.
 
 `compiled` is the C extension built by setup.py into a temp dir (see
-conftest); the pure-Python module is the oracle.
+conftest). The pure-Python module is the oracle, except for
+`min_cut_search`: both backends' searches are checked against
+`conftest._brute_min_cut`, which tests every candidate set in order with
+the pure `cut_valid`.
 """
+
+import random
 
 import pytest
 
 from specconn import _kernels_py
 from specconn import kernels
 from specconn.census import connected_census
+from specconn.connectivity import SEARCH_MAX_VERTICES
+from specconn.graphs import complete_graph, path_graph
 from specconn.spectral import iteration_cap
 from conftest import _brute_min_cut, random_graph
 
@@ -103,6 +110,43 @@ def test_capped_min_cut_matches_uncapped_search(compiled):
                         (module.BACKEND, h, g, r, mode)
 
 
+def test_min_cut_matches_brute_force_on_order_8_sample(compiled):
+    sample = random.Random(8).sample(connected_census(8), 500)
+    queries = [(g, r, mode) for mode in range(4) for g in range(3) for r in (2, 3)]
+    for h in sample:
+        for g, r, mode in queries:
+            want = _brute_min_cut(h.adj, 8, g, r, mode)
+            for module in (compiled, _kernels_py):
+                assert module.min_cut_search(h.adj, 8, g, r, mode) == want, \
+                    (module.BACKEND, h, g, r, mode)
+
+
+def test_min_cut_matches_brute_force_past_order_8(compiled, rng):
+    graphs = [path_graph(12), complete_graph(12)]
+    graphs += [random_graph(rng, rng.randint(9, 12), rng.choice([0.3, 0.5, 0.8]))
+               for _ in range(30)]
+    for h in graphs:
+        for mode in range(4):
+            g, r = rng.randint(0, 2), rng.randint(2, 3)
+            want = _brute_min_cut(h.adj, h.n, g, r, mode)
+            for module in (compiled, _kernels_py):
+                assert module.min_cut_search(h.adj, h.n, g, r, mode) == want, \
+                    (module.BACKEND, h, g, r, mode)
+
+
+def test_min_cut_order_cap(compiled):
+    assert compiled.SEARCH_MAX_N == _kernels_py.SEARCH_MAX_N == SEARCH_MAX_VERTICES
+    n = SEARCH_MAX_VERTICES + 1
+    messages = set()
+    for module in (compiled, _kernels_py):
+        with pytest.raises(ValueError) as exc:
+            module.min_cut_search([0] * n, n, 0, 2, 0)
+        messages.add(str(exc.value))
+        # order 20 is searched: an edgeless graph is cut by the empty set
+        assert module.min_cut_search([0] * (n - 1), n - 1, 0, 2, 0) == 0
+    assert messages == {f"exhaustive cut search is capped at {n - 1} vertices, got n = {n}"}
+
+
 def test_min_cut_cap_with_threshold_past_int_range(compiled):
     # need*(g+1) does not fit in a C int: no size is admissible
     int_max = 2**31 - 1
@@ -154,9 +198,11 @@ def test_power_iteration_parity_order_64(compiled, rng):
     ],
 )
 def test_bad_order_raises(compiled, name, rest):
+    # the cut search also stops at SEARCH_MAX_VERTICES = 20
+    bad = (-1, 0, 65) + ((21,) if name == "min_cut_search" else ())
     for module in (compiled, _kernels_py):
         fn = getattr(module, name)
-        for n in (-1, 0, 65):
+        for n in bad:
             with pytest.raises(ValueError):
                 fn([0] * 66, n, *rest)
         with pytest.raises(ValueError):

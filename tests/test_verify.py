@@ -3,7 +3,7 @@ import json
 import pytest
 
 from specconn import verify
-from specconn.census import CONNECTED_COUNTS, connected_census
+from specconn.census import CONNECTED_COUNTS, connected_census, ingest_graph6
 from specconn.connectivity import CutMode, CutQuery, min_cut
 from specconn.families import Family
 from specconn.graphs import (
@@ -175,6 +175,46 @@ def test_exact_top_tie_goes_to_least_canonical_form():
         assert cell.second_best_rho == cell.best_rho
     first = reports_to_json(runs[0])
     assert all(reports_to_json(reports) == first for reports in runs[1:])
+
+
+def test_one_pass_source_matches_list_source(tmp_path, rng):
+    census = connected_census(7)
+    shuffled = [permute(h, rng.sample(range(7), 7)) for h in census]
+    rng.shuffle(shuffled)
+    path = tmp_path / "shuffled.g6"
+    path.write_text("".join(graph6_encode(h) + "\n" for h in shuffled))
+    for g, r in ((0, 2), (1, 3)):
+        want = reports_to_json(run_verification(7, g, r, source=shuffled))
+        for jobs in (1, 2):
+            streamed = run_verification(7, g, r, source=ingest_graph6(path), jobs=jobs)
+            assert reports_to_json(streamed) == want
+
+
+def test_wrong_order_mid_stream_raises():
+    census = connected_census(6)
+    source = census[:70] + [path_graph(5)] + census[70:]
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as exc:
+            run_verification(6, 1, 2, source=iter(source), jobs=jobs)
+        assert str(exc.value) == "source contains a graph of order 5, expected 6"
+
+
+def test_scan_decodes_only_solved_and_best_members(monkeypatch):
+    # with one job the scan classifies the source graphs it is given; graph6
+    # is decoded only for the 125 members whose rho is solved and once per
+    # cell for its best (no cell of this run has a top tie), not once more
+    # for every one of the 853 census graphs
+    decoded = []
+    real = verify.graph6_decode
+
+    def spy(text):
+        decoded.append(text)
+        return real(text)
+
+    monkeypatch.setattr(verify, "graph6_decode", spy)
+    reports = run_verification(7, 1, 2, jobs=1)
+    assert len(reports) == 10
+    assert len(decoded) == 125 + 10
 
 
 def test_rho_is_solved_only_where_a_top_two_can_move(monkeypatch):
