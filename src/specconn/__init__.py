@@ -15,10 +15,8 @@ from .connectivity import (
     CutMode,
     CutQuery,
     MinCut,
-    edge_connectivity,
     is_valid_cut,
     min_cut,
-    vertex_connectivity,
 )
 from .families import (
     Family,
@@ -78,7 +76,6 @@ from .verify import (
     ClassSpec,
     VerificationReport,
     run_verification,
-    verify_class,
     write_csv,
     write_json,
 )

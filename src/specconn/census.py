@@ -41,10 +41,12 @@ Each isomorphism class of connected graphs of order n is kept exactly once:
   P1 = P2 (the census holds one graph per class), and to an automorphism
   of P1 that maps S1 to S2. Both are least in their orbit, so S1 = S2.
 
-A search made for the test also yields Aut(G). When G is kept and its level
-is generated as the parents of the next, those generators are kept with it
-and its own parent search is skipped; the search is deterministic, so the
-children and their order are the same either way.
+A search made for the test also yields Aut(G). `connected_census` builds
+the levels in one loop, and while a kept G's level is the parents of the
+next one it carries those generators with G, so G's own parent search is
+skipped; the search is deterministic, so the children and their order are
+the same either way. The level that was asked for keeps none, and a level
+read from the cache has none.
 
 Each child is judged on its own, so memory holds only the levels.
 Counts are pinned against the published census (OEIS A001349) in tests.
@@ -74,15 +76,13 @@ GENERATOR_CAP = 9
 
 _census_cache: dict[int, list[Graph]] = {}
 
-# Aut generators of a level's members, where its children's canonical
-# augmentation tests already searched them (None elsewhere). Kept only for
-# a level generated as the parents of the next, which consumes them.
-_parent_levels: set[int] = set()
-_parent_generators: dict[int, list[list[tuple[int, ...]] | None]] = {}
-
 
 def connected_census(n: int) -> list[Graph]:
-    """All connected graphs of order n up to isomorphism (cached, n <= 9)."""
+    """All connected graphs of order n up to isomorphism (cached, n <= 9).
+
+    Generation starts from the largest cached level below n and caches every
+    level it builds on the way.
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
     if n > GENERATOR_CAP:
@@ -90,41 +90,39 @@ def connected_census(n: int) -> list[Graph]:
             f"built-in generation is capped at n = {GENERATOR_CAP}; "
             "ingest a graph6 file for larger orders"
         )
+    _census_cache.setdefault(1, [empty_graph(1)])
     if n in _census_cache:
         return _census_cache[n]
-    level: list[Graph] = [empty_graph(1)] if n == 1 else []
-    # found[i]: Aut generators of level[i] if its augmentation test searched;
-    # collected only when the next level is being generated from this one
-    found = [None] * len(level) if n in _parent_levels else None
-    if n > 1:
-        _parent_levels.add(n - 1)
-        try:
-            parents = connected_census(n - 1)
-        finally:
-            _parent_levels.discard(n - 1)
-        known = _parent_generators.pop(n - 1, None) or [None] * len(parents)
-        new_bit = 1 << (n - 1)
+    start = max(m for m in _census_cache if m < n)
+    parents = _census_cache[start]
+    # known[i]: Aut generators of parents[i] if its augmentation test
+    # searched, else None (a cached level's are unknown)
+    known: list[list[tuple[int, ...]] | None] = [None] * len(parents)
+    for order in range(start + 1, n + 1):
+        level: list[Graph] = []
+        found: list[list[tuple[int, ...]] | None] = []
+        new_bit = 1 << (order - 1)
         for parent, generators in zip(parents, known):
             if generators is None:
                 generators = []
                 _canonical_adj(parent, generators)
-            split = [components(parent, 1 << u) for u in range(n - 1)]
-            for smask in _orbit_minima(generators, n - 1):
+            split = [components(parent, 1 << u) for u in range(order - 1)]
+            for smask in _orbit_minima(generators, order - 1):
                 rows = [
                     row | new_bit if smask >> v & 1 else row
                     for v, row in enumerate(parent.adj)
                 ]
                 rows.append(smask)
-                child = _trusted(n, tuple(rows))
+                child = _trusted(order, tuple(rows))
                 keep, child_generators = _is_canonical_augmentation(child, split)
                 if keep:
                     level.append(child)
-                    if found is not None:
+                    # the level asked for is no parent, so it keeps none
+                    if order < n:
                         found.append(child_generators)
-    if found is not None:
-        _parent_generators[n] = found
-    _census_cache[n] = level
-    return level
+        _census_cache[order] = level
+        parents, known = level, found
+    return parents
 
 
 def _is_canonical_augmentation(
@@ -217,7 +215,9 @@ def ingest_graph6(
     when a list is passed; they never abort the stream.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="ascii") as handle:
+        # latin-1 reads every byte as one character, so a non-ASCII byte
+        # reaches graph6_decode and costs only its own line
+        with open(source, "r", encoding="latin-1") as handle:
             yield from ingest_graph6(handle, errors)
         return
     for lineno, line in enumerate(source, start=1):

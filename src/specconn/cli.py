@@ -7,7 +7,6 @@ claim failed, 1 usage or input errors.
 
 import argparse
 import json
-import os
 import sys
 
 from .census import GENERATOR_CAP, connected_census, ingest_graph6
@@ -160,9 +159,11 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    # generate before opening --out, so a usage error leaves the file alone
+    graphs = connected_census(args.n)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="ascii")
     try:
-        for g in connected_census(args.n):
+        for g in graphs:
             out.write(graph6_encode(g) + "\n")
     finally:
         if args.out is not None:
@@ -180,29 +181,30 @@ def _cmd_verify(args) -> int:
     if args.delta is not None and args.all_classes:
         print("give either --delta/--k or --all-classes, not both", file=sys.stderr)
         return USAGE_ERROR
-    source = None
-    if args.input is not None:
-        errors: list[tuple[int, str]] = []
-        source = list(ingest_graph6(args.input, errors))
-        for lineno, message in errors:
-            print(f"warning: {args.input}:{lineno}: {message}", file=sys.stderr)
-    elif args.n > GENERATOR_CAP:
+    if args.input is None and args.n > GENERATOR_CAP:
         print(
             f"built-in generation is capped at n = {GENERATOR_CAP}; pass --input",
             file=sys.stderr,
         )
         return USAGE_ERROR
+    # the scan streams --input; its bad lines are reported once it stops
+    errors: list[tuple[int, str]] = []
+    source = None if args.input is None else ingest_graph6(args.input, errors)
     cells = None if args.all_classes else [(args.delta, args.k)]
-    reports = run_verification(
-        args.n,
-        args.g,
-        args.r,
-        mode=args.mode,
-        source=source,
-        cells=cells,
-        jobs=args.jobs,
-        allow_out_of_hypothesis=args.allow_out_of_hypothesis,
-    )
+    try:
+        reports = run_verification(
+            args.n,
+            args.g,
+            args.r,
+            mode=args.mode,
+            source=source,
+            cells=cells,
+            jobs=args.jobs,
+            allow_out_of_hypothesis=args.allow_out_of_hypothesis,
+        )
+    finally:
+        for lineno, message in errors:
+            print(f"warning: {args.input}:{lineno}: {message}", file=sys.stderr)
     if args.json:
         write_json(reports, args.json)
     if args.csv:
@@ -307,12 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", help="write reports to this JSON file")
     p.add_argument("--csv", help="write reports to this CSV file")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("SPECCONN_JOBS", "1")),
-        help="parallel workers (default: SPECCONN_JOBS or 1)",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default: 1)")
     p.add_argument("--allow-out-of-hypothesis", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

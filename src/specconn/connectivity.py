@@ -30,7 +30,6 @@ larger set can be a valid cut. Dropping those sizes changes no result and no
 certificate; it only ends the search early for graphs that have no cut.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -114,48 +113,3 @@ def min_cut(g: Graph, query: CutQuery) -> MinCut | None:
     if fmask < 0:
         return None
     return MinCut(fmask.bit_count(), _certificate(g, fmask))
-
-
-def vertex_connectivity(g: Graph) -> int:
-    result = min_cut(g, CutQuery(mode=CutMode.CLASSIC))
-    assert result is not None  # classic mode always has a cut
-    return result.value
-
-
-def edge_connectivity(g: Graph) -> int:
-    """Exact edge connectivity via unit-capacity max-flow from vertex 0."""
-    if g.n == 1:
-        return 0
-    best = g.n * g.n
-    for t in range(1, g.n):
-        best = min(best, _max_flow(g, 0, t))
-    return best
-
-
-def _max_flow(g: Graph, s: int, t: int) -> int:
-    # Edmonds-Karp on the doubled directed graph, capacity 1 per arc
-    cap = [[0] * g.n for _ in range(g.n)]
-    for u in range(g.n):
-        for v in range(g.n):
-            if g.adj[u] >> v & 1:
-                cap[u][v] = 1
-    flow = 0
-    while True:
-        parent = [-1] * g.n
-        parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] < 0:
-            u = queue.popleft()
-            for v in range(g.n):
-                if parent[v] < 0 and cap[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[t] < 0:
-            return flow
-        v = t
-        while v != s:
-            u = parent[v]
-            cap[u][v] -= 1
-            cap[v][u] += 1
-            v = u
-        flow += 1

@@ -42,14 +42,6 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Iterate set bit positions, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on labeled vertices 0..n-1.
@@ -73,7 +65,7 @@ class Graph:
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
         for v, row in enumerate(self.adj):
-            for w in bits(row):
+            for w in vertices_of(row):
                 if not self.adj[w] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
 
@@ -95,7 +87,7 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             row = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bits(row):
+            for v in vertices_of(row):
                 yield (u, v)
 
     def edge_count(self) -> int:
@@ -177,7 +169,7 @@ def permute(g: Graph, perm: Iterable[int]) -> Graph:
     rows = [0] * g.n
     for v in range(g.n):
         acc = 0
-        for w in bits(g.adj[v]):
+        for w in vertices_of(g.adj[v]):
             acc |= 1 << p[w]
         rows[p[v]] = acc
     return Graph(g.n, tuple(rows))
@@ -192,7 +184,7 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
     rows = []
     for v in vs:
         acc = 0
-        for w in bits(g.adj[v] & mask):
+        for w in vertices_of(g.adj[v] & mask):
             acc |= 1 << index[w]
         rows.append(acc)
     return Graph(len(vs), tuple(rows))

@@ -12,9 +12,11 @@ Ties are broken on canonical form (lexicographically least wins), so
 results are independent of --jobs. The scan carries only (index, graph6,
 delta, k, m) per member, m its edge count; canonical forms are computed per
 cell, for the graphs tied at exactly the best rho and for the isomorphism
-check. With one job the scan classifies each source graph as it is read and
-encodes only the members; with more, the whole source is encoded and
-shipped to worker processes as graph6 lines.
+check. The scan reads the source in chunks of SCAN_CHUNK graphs; each chunk
+is classified by `_scan_chunk`, which encodes only the members. With one
+job the chunks are scanned in turn as they are read, so the source is never
+held whole; with more, a process pool scans them and the results are merged
+in input order.
 
 A report needs only each cell's best rho, the members tied at it, and the
 second-best rho, so rho is solved only for members that could still be one
@@ -34,7 +36,9 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .census import connected_census
@@ -44,6 +48,9 @@ from .graphs import Graph, canonical_form, degree_profile, graph6_decode, graph6
 from .spectral import spectral_radius
 
 RHO_TOL = 1e-8
+
+# source graphs per scan task
+SCAN_CHUNK = 512
 
 COMPONENT_MODE = "component"
 NEIGHBOR_MODE = "neighbor"
@@ -65,26 +72,27 @@ def _membership_query(g_param: int, r: int, mode: str) -> CutQuery:
     return CutQuery(g_param, r, CutMode.NEIGHBOR if mode == NEIGHBOR_MODE else CutMode.FULL)
 
 
-def _classify(g: Graph, query: CutQuery) -> tuple[int, int, int] | None:
-    """(delta, k, m) of a class member, None for a graph with no cut."""
-    result = min_cut(g, query)
-    if result is None:
-        return None
-    profile = degree_profile(g)
-    return profile.min_degree, result.value, sum(profile.degrees) // 2
-
-
 def _scan_chunk(args) -> list[tuple[int, str, int, int, int]]:
-    """Worker: classify a chunk of graph6 records starting at input index
-    `start`; (index, graph6, delta, k, m) for each member."""
-    start, lines, g_param, r, mode = args
+    """Classify a chunk of source graphs starting at input index `start`;
+    (index, graph6, delta, k, m) for each member, m its edge count. A graph
+    with no cut is no member."""
+    start, chunk, g_param, r, mode = args
     query = _membership_query(g_param, r, mode)
     out = []
-    for index, line in enumerate(lines, start):
-        member = _classify(graph6_decode(line), query)
-        if member is not None:
-            out.append((index, line, *member))
+    for index, h in enumerate(chunk, start):
+        result = min_cut(h, query)
+        if result is not None:
+            profile = degree_profile(h)
+            m = sum(profile.degrees) // 2
+            out.append((index, graph6_encode(h), profile.min_degree, result.value, m))
     return out
+
+
+def _scan_tasks(graphs: Iterator[Graph], g_param: int, r: int, mode: str):
+    start = 0
+    while chunk := list(islice(graphs, SCAN_CHUNK)):
+        yield start, chunk, g_param, r, mode
+        start += len(chunk)
 
 
 @dataclass
@@ -198,19 +206,12 @@ def run_verification(
     if mode == NEIGHBOR_MODE and r != 2:
         raise ValueError(f"neighbor mode is the r = 2 specialization; got r = {r}")
     graphs = _of_order(source if source is not None else connected_census(n), n)
-    if jobs <= 1:
-        # classify each graph as it is read; only members are encoded
-        query = _membership_query(g, r, mode)
-        records = []
-        for index, h in enumerate(graphs):
-            member = _classify(h, query)
-            if member is not None:
-                records.append((index, graph6_encode(h), *member))
-    else:
-        records = _scan_records([graph6_encode(h) for h in graphs], g, r, mode, jobs)
+    tasks = _scan_tasks(graphs, g, r, mode)
     members: dict[tuple[int, int], list[tuple[int, str, int, int, int]]] = {}
-    for record in records:
-        members.setdefault(record[2:4], []).append(record)
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        for part in (pool.map if pool else map)(_scan_chunk, tasks):
+            for record in part:
+                members.setdefault(record[2:4], []).append(record)
     buckets = {cell: _cell_best(n, group) for cell, group in members.items()}
 
     if cells is None:
@@ -257,20 +258,6 @@ def _cell_best(n: int, group: list[tuple[int, str, int, int, int]]) -> _CellBest
     for _, rho, line in solved:
         cell.add(rho, line)
     return cell
-
-
-def _scan_records(lines, g, r, mode, jobs):
-    if len(lines) < 64:
-        return _scan_chunk((0, lines, g, r, mode))
-    chunks = []
-    step = max(32, (len(lines) + jobs * 4 - 1) // (jobs * 4))
-    for i in range(0, len(lines), step):
-        chunks.append((i, lines[i : i + step], g, r, mode))
-    records = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_scan_chunk, chunks):
-            records.extend(part)
-    return records
 
 
 def _cell_report(spec: ClassSpec, mode: str, cell: _CellBest | None) -> VerificationReport:
@@ -326,26 +313,6 @@ def _cell_report(spec: ClassSpec, mode: str, cell: _CellBest | None) -> Verifica
 def _claimed_membership(claimed: Graph, spec: ClassSpec, mode: str) -> int | None:
     result = min_cut(claimed, _membership_query(spec.g, spec.r, mode))
     return result.value if result else None
-
-
-def verify_class(
-    spec: ClassSpec,
-    source: Iterable[Graph] | None = None,
-    mode: str = COMPONENT_MODE,
-    jobs: int = 1,
-    allow_out_of_hypothesis: bool = False,
-) -> VerificationReport:
-    """Single-cell verification (population 0 yields an empty-class report)."""
-    return run_verification(
-        spec.n,
-        spec.g,
-        spec.r,
-        mode=mode,
-        source=source,
-        cells=[(spec.delta, spec.k)],
-        jobs=jobs,
-        allow_out_of_hypothesis=allow_out_of_hypothesis,
-    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from specconn._kernels_py import cut_valid
-from specconn.graphs import Graph, bits, from_edges
+from specconn.graphs import Graph, from_edges, vertices_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,7 +37,7 @@ def _brute_canonical_adj(g: Graph) -> tuple[int, ...]:
         rows = [0] * g.n
         for v in range(g.n):
             acc = 0
-            for w in bits(g.adj[v]):
+            for w in vertices_of(g.adj[v]):
                 acc |= 1 << perm[w]
             rows[perm[v]] = acc
         cand = tuple(rows)

@@ -142,6 +142,45 @@ def test_enum_to_file(tmp_path, capsys):
     assert len(target.read_text().strip().splitlines()) == 21
 
 
+def test_enum_usage_error_leaves_out_file(tmp_path, capsys):
+    target = tmp_path / "kept.g6"
+    target.write_text("kept\n")
+    code, _, err = run(["enum", "--n", "10", "--out", str(target)], capsys)
+    assert code == 1
+    assert "capped" in err
+    assert target.read_text() == "kept\n"
+
+
+def test_verify_streams_input_and_reports_bad_lines(tmp_path, capsys, monkeypatch):
+    import specconn.cli as cli
+    from specconn.graphs import path_graph
+
+    lines = [graph6_encode(g) for g in connected_census(6)]
+    path = tmp_path / "census6.g6"
+    path.write_text("\n".join(lines[:3] + ["bad!"] + lines[3:]) + "\n")
+    sources = []
+    real = cli.run_verification
+
+    def spy(*args, source=None, **kwargs):
+        sources.append(source)
+        return real(*args, source=source, **kwargs)
+
+    monkeypatch.setattr(cli, "run_verification", spy)
+    argv = ["verify", "--n", "6", "--g", "0", "--r", "2", "--all-classes", "--input", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert out.count("[CONFIRMED]") == 6
+    assert f"warning: {path}:4: " in err
+    # the file reaches the scan as an iterator, not a list held whole
+    assert iter(sources[0]) is sources[0]
+    # the warning is printed also when the scan stops on an error
+    path.write_text("\n".join(lines[:3] + ["bad!", graph6_encode(path_graph(5))]) + "\n")
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert "expected 6" in err
+    assert f"warning: {path}:4: " in err
+
+
 def test_verify_single_cell_json_csv(tmp_path, capsys):
     out_json = tmp_path / "cell.json"
     out_csv = tmp_path / "cell.csv"

@@ -4,10 +4,8 @@ from specconn.census import connected_census
 from specconn.connectivity import (
     CutMode,
     CutQuery,
-    edge_connectivity,
     is_valid_cut,
     min_cut,
-    vertex_connectivity,
 )
 from specconn.families import Family, FamilyParams, construct
 from specconn.graphs import (
@@ -63,12 +61,16 @@ def test_family_graph_cut_matches_parameter():
     assert min_cut(construct(p), CutQuery(1, 2, FULL)).value == 2
 
 
+def _kappa(g):
+    return min_cut(g, CutQuery(mode=CutMode.CLASSIC)).value
+
+
 def test_classic_connectivity():
-    assert vertex_connectivity(cycle_graph(5)) == 2
-    assert vertex_connectivity(complete_graph(5)) == 4  # single-vertex clause
-    assert vertex_connectivity(complete_graph(2)) == 1
-    assert vertex_connectivity(empty_graph(1)) == 0
-    assert vertex_connectivity(path_graph(5)) == 1
+    assert _kappa(cycle_graph(5)) == 2
+    assert _kappa(complete_graph(5)) == 4  # single-vertex clause
+    assert _kappa(complete_graph(2)) == 1
+    assert _kappa(empty_graph(1)) == 0
+    assert _kappa(path_graph(5)) == 1
 
 
 def test_component_mode_accepts_small_leftovers():
@@ -88,22 +90,11 @@ def test_neighbor_mode():
     assert min_cut(complete_bipartite(1, 5), CutQuery(1, 2, CutMode.NEIGHBOR)) is None
 
 
-def test_edge_connectivity_examples():
-    assert edge_connectivity(cycle_graph(7)) == 2
-    assert edge_connectivity(complete_graph(5)) == 4
-    assert edge_connectivity(path_graph(6)) == 1
-    assert edge_connectivity(empty_graph(1)) == 0
-    assert edge_connectivity(complete_bipartite(3, 3)) == 3
-
-
 def test_connectivity_chain_on_random_graphs(rng):
-    # kappa <= lambda <= delta
+    # kappa <= delta: deleting a vertex's neighbours isolates it
     for _ in range(1000):
         g = random_connected_graph(rng, rng.randint(2, 9))
-        kappa = vertex_connectivity(g)
-        lam = edge_connectivity(g)
-        delta = degree_profile(g).min_degree
-        assert kappa <= lam <= delta
+        assert _kappa(g) <= degree_profile(g).min_degree
 
 
 def test_certificate_soundness(rng):

@@ -24,7 +24,6 @@ from specconn.verify import (
     ClassSpec,
     reports_to_json,
     run_verification,
-    verify_class,
     write_csv,
     write_json,
     CSV_COLUMNS,
@@ -43,7 +42,7 @@ def test_class_membership_examples():
 
 
 def test_seven_vertex_example_cell():
-    rep = verify_class(ClassSpec(7, 2, 0, 2, 2))
+    (rep,) = run_verification(7, 0, 2, cells=[(2, 2)])
     assert rep.population > 0
     assert rep.claimed_family == Family.JOIN_VI.value
     assert rep.isomorphic is True
@@ -66,7 +65,7 @@ def test_all_cells_n6_confirm():
 
 
 def test_empty_class_report():
-    rep = verify_class(ClassSpec(6, 5, 0, 2, 1))
+    (rep,) = run_verification(6, 0, 2, cells=[(5, 1)])
     assert rep.population == 0
     assert rep.best_rho is None and rep.claimed_rho is None
     assert rep.isomorphic is None
@@ -74,10 +73,10 @@ def test_empty_class_report():
 
 
 def test_out_of_hypothesis_gating():
-    spec = ClassSpec(6, 2, 2, 2, 2)  # 6 < 2 + 2*3
+    assert not ClassSpec(6, 2, 2, 2, 2).in_hypothesis()  # 6 < 2 + 2*3
     with pytest.raises(ValueError):
-        verify_class(spec)
-    rep = verify_class(spec, allow_out_of_hypothesis=True)
+        run_verification(6, 2, 2, cells=[(2, 2)])
+    (rep,) = run_verification(6, 2, 2, cells=[(2, 2)], allow_out_of_hypothesis=True)
     assert any("out-of-hypothesis" in w for w in rep.warnings)
     assert rep.claimed_family is None
 
@@ -96,7 +95,7 @@ def test_incomplete_source_fails_the_claim():
     # violating the coverage precondition must surface as a failed verdict,
     # not silently pass: neither member of this partial class is extremal
     source = [path_graph(6), complete_bipartite(1, 5)]
-    rep = verify_class(ClassSpec(6, 1, 0, 2, 1), source=source)
+    (rep,) = run_verification(6, 0, 2, source=source, cells=[(1, 1)])
     assert rep.population == 2
     assert rep.isomorphic is False
     assert not rep.confirmed
@@ -130,10 +129,38 @@ def test_csv_report_projection(tmp_path):
     assert len(lines) == len(reports) + 1
 
 
-def test_determinism_across_jobs():
+def test_determinism_across_jobs(monkeypatch):
+    # small chunks, so the 112 graphs make 8 tasks for the pool
+    monkeypatch.setattr(verify, "SCAN_CHUNK", 16)
     solo = reports_to_json(run_verification(6, 1, 2, jobs=1))
     multi = reports_to_json(run_verification(6, 1, 2, jobs=3))
     assert solo == multi
+
+
+def test_one_job_scan_streams_the_source_in_chunks(monkeypatch):
+    # every chunk is scanned before the next is read, so at most one chunk
+    # of the source is held at a time
+    monkeypatch.setattr(verify, "SCAN_CHUNK", 100)
+    read = 0
+    scanned = []
+
+    def source():
+        nonlocal read
+        for h in connected_census(7):
+            read += 1
+            yield h
+
+    def spy(args):
+        start, chunk = args[:2]
+        scanned.append((start, len(chunk), read))
+        return real(args)
+
+    real = verify._scan_chunk
+    monkeypatch.setattr(verify, "_scan_chunk", spy)
+    streamed = run_verification(7, 1, 2, source=source())
+    assert scanned == [(i, min(100, 853 - i), min(i + 100, 853)) for i in range(0, 853, 100)]
+    monkeypatch.undo()
+    assert reports_to_json(streamed) == reports_to_json(run_verification(7, 1, 2))
 
 
 def test_explicit_source_stream():
@@ -147,10 +174,10 @@ def test_neighbor_mode_rejects_r_other_than_two():
         with pytest.raises(ValueError, match="r = 2"):
             run_verification(7, 0, r, mode="neighbor")
     with pytest.raises(ValueError, match="r = 2"):
-        verify_class(ClassSpec(7, 1, 0, 3, 1), mode="neighbor")
+        run_verification(7, 0, 3, mode="neighbor", cells=[(1, 1)])
 
 
-def test_exact_top_tie_goes_to_least_canonical_form():
+def test_exact_top_tie_goes_to_least_canonical_form(monkeypatch):
     # K_{3,3} and the triangular prism are non-isomorphic, cubic and
     # 3-connected, and their computed rho is the same float; dropping every
     # other graph of minimum degree 3 makes them the top of cell (3, 3)
@@ -161,7 +188,8 @@ def test_exact_top_tie_goes_to_least_canonical_form():
     assert canonical_form(k33) < canonical_form(prism)
     rest = [h for h in connected_census(6) if degree_profile(h).min_degree != 3]
     source = [prism, k33] + rest
-    assert len(source) >= 64  # enough records for --jobs to split the scan
+    monkeypatch.setattr(verify, "SCAN_CHUNK", 16)
+    assert len(source) > verify.SCAN_CHUNK  # enough records for --jobs to split the scan
     runs = [
         run_verification(6, 0, 2, source=source),
         run_verification(6, 0, 2, source=source[::-1]),
