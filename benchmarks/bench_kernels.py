@@ -2,9 +2,11 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Workload: the verification pipeline's hot loops over the connected census of
-a given order: exhaustive minimum-cut search, dominant-eigenpair power
-iteration, and component flood fills under random deletions. Exits 1 when
-the two backends disagree on any kernel.
+a given order: exhaustive minimum-cut search (one graph per call, and the
+batched search over the pure kernel's width W of graphs per call, as the
+verify scan runs it), dominant-eigenpair power iteration, and component
+flood fills under random deletions. Exits 1 when the two backends disagree
+on any kernel, or the batched search on any cut of the per-graph search.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 7] [--tol 1e-12]
 """
@@ -26,10 +28,17 @@ except ImportError:
 
 def bench_min_cut(mod, graphs):
     t0 = time.perf_counter()
-    acc = 0
-    for g in graphs:
-        acc ^= mod.min_cut_search(g.adj, g.n, 1, 2, 3)
-    return time.perf_counter() - t0, acc
+    cuts = [mod.min_cut_search(g.adj, g.n, 1, 2, 3) for g in graphs]
+    return time.perf_counter() - t0, cuts
+
+
+def bench_min_cut_many(mod, graphs, width):
+    t0 = time.perf_counter()
+    cuts = []
+    for start in range(0, len(graphs), width):
+        batch = [g.adj for g in graphs[start:start + width]]
+        cuts += mod.min_cut_search_many(batch, graphs[0].n, 1, 2, 3)
+    return time.perf_counter() - t0, cuts
 
 
 def bench_power(mod, graphs, tol):
@@ -62,8 +71,11 @@ def main():
     removals = [rng.randrange(1 << g.n) for g in graphs]
     print(f"census: {len(graphs)} connected graphs of order {args.n}")
 
+    width = _kernels_py._batch_width(args.n)
+    single, batched = "min_cut_search(g=1,r=2,full)", f"min_cut_search_many(W={width})"
     tasks = [
-        ("min_cut_search(g=1,r=2,full)", bench_min_cut, (graphs,)),
+        (single, bench_min_cut, (graphs,)),
+        (batched, bench_min_cut_many, (graphs, width)),
         (f"power_iteration(tol={args.tol:g})", bench_power, (graphs, args.tol)),
         ("components_masks(random removals)", bench_components, (graphs, removals)),
     ]
@@ -71,20 +83,25 @@ def main():
     print(header)
     print("-" * len(header))
     mismatches = 0
+    checks = {}
     for name, fn, extra in tasks:
         t_pure, check_pure = fn(_kernels_py, *extra)
+        checks[name] = check_pure
         if _kernels is None:
             print(f"{name:36} {t_pure:9.3f}s {'n/a':>10} {'n/a':>8}")
             continue
         t_c, check_c = fn(_kernels, *extra)
         agreement = (
-            check_pure == check_c
-            if isinstance(check_pure, int)
-            else abs(check_pure - check_c) < 1e-6 * max(1.0, abs(check_pure))
+            abs(check_pure - check_c) < 1e-6 * max(1.0, abs(check_pure))
+            if isinstance(check_pure, float)
+            else check_pure == check_c
         )
         mismatches += not agreement
         flag = "" if agreement else "  (MISMATCH)"
         print(f"{name:36} {t_pure:9.3f}s {t_c:9.3f}s {t_pure / t_c:7.1f}x{flag}")
+    if checks[batched] != checks[single]:
+        mismatches += 1
+        print("MISMATCH: the batched search disagrees with the per-graph search")
     if _kernels is None:
         print("compiled extension not built; run python3 setup.py build_ext --inplace "
               "(needs a C compiler)")

@@ -5,6 +5,8 @@
  * neighbour bitmasks and vertex sets are bitmasks, held here as uint64_t,
  * so 1 <= n <= 64. Mode codes for the cut search: 0 classic,
  * 1 component-count, 2 good-neighbor, 3 good-neighbor+components.
+ * min_cut_search_many is a loop over the same search; only the pure kernel
+ * decides a batch in shared tables.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -116,21 +118,26 @@ as_mask(PyObject *obj, uint64_t *out)
     return 0;
 }
 
-/* Read and check n, then copy adj[0..n-1] into rows; returns -1 with an
- * exception set. */
+/* Read n and check that it is in 1..MAX_N; returns -1 with an exception
+ * set. */
 static int
-read_adj(PyObject *adj, PyObject *n_obj, int *n_out, uint64_t *rows)
+read_order(PyObject *n_obj, int *n)
+{
+    if (as_int(n_obj, n) < 0)
+        return -1;
+    if (*n < 1 || *n > MAX_N) {
+        PyErr_Format(PyExc_ValueError, "n must be in 1..%d, got %d", MAX_N, *n);
+        return -1;
+    }
+    return 0;
+}
+
+/* Copy adj[0..n-1] into rows; returns -1 with an exception set. */
+static int
+read_rows(PyObject *adj, int n, uint64_t *rows)
 {
     PyObject *seq;
     Py_ssize_t i;
-    int n;
-    if (as_int(n_obj, &n) < 0)
-        return -1;
-    *n_out = n;
-    if (n < 1 || n > MAX_N) {
-        PyErr_Format(PyExc_ValueError, "n must be in 1..%d, got %d", MAX_N, n);
-        return -1;
-    }
     seq = PySequence_Fast(adj, "adj must be a sequence of int bitmasks");
     if (seq == NULL)
         return -1;
@@ -148,6 +155,16 @@ read_adj(PyObject *adj, PyObject *n_obj, int *n_out, uint64_t *rows)
     }
     Py_DECREF(seq);
     return 0;
+}
+
+/* Read and check n, then copy adj[0..n-1] into rows; returns -1 with an
+ * exception set. */
+static int
+read_adj(PyObject *adj, PyObject *n_obj, int *n, uint64_t *rows)
+{
+    if (read_order(n_obj, n) < 0)
+        return -1;
+    return read_rows(adj, *n, rows);
 }
 
 /* Component of surv containing the lowest vertex of start. */
@@ -253,26 +270,32 @@ cut_valid(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     return PyBool_FromLong(cut_valid_c(rows, n, fmask, g, r, mode));
 }
 
-static PyObject *
-min_cut_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-               PyObject *kwnames)
+/* Read the n, g, r and mode of a cut search: n in 1..SEARCH_MAX_N; returns
+ * -1 with an exception set. */
+static int
+read_search(PyObject *const *a, int *n, int *g, int *r, int *mode)
 {
-    static const char *const names[] = {"adj", "n", "g", "r", "mode", NULL};
-    PyObject *a[5];
-    uint64_t rows[MAX_N], fmask;
-    int n, g, r, mode, lo, hi, size, i, j;
-    int c[MAX_N + 1];
-    long long cap;
-    if (parse_args("min_cut_search", args, nargs, kwnames, names, 5, a) < 0
-        || read_adj(a[0], a[1], &n, rows) < 0 || as_int(a[2], &g) < 0
-        || as_int(a[3], &r) < 0 || as_int(a[4], &mode) < 0)
-        return NULL;
-    if (n > SEARCH_MAX_N) {
+    if (read_order(a[0], n) < 0)
+        return -1;
+    if (*n > SEARCH_MAX_N) {
         PyErr_Format(PyExc_ValueError,
                      "exhaustive cut search is capped at %d vertices, got n = %d",
-                     SEARCH_MAX_N, n);
-        return NULL;
+                     SEARCH_MAX_N, *n);
+        return -1;
     }
+    if (as_int(a[1], g) < 0 || as_int(a[2], r) < 0 || as_int(a[3], mode) < 0)
+        return -1;
+    return 0;
+}
+
+/* First valid cut of least size in lexicographic order, or -1. */
+static int64_t
+search(const uint64_t *rows, int n, int g, int r, int mode)
+{
+    uint64_t fmask;
+    int lo, hi, size, i, j;
+    int c[MAX_N + 1];
+    long long cap;
     lo = (mode == 0 || mode == 1) ? 0 : 1;
     hi = mode == 1 ? n + 1 : n;
     if (mode == 2 || mode == 3) {
@@ -292,7 +315,7 @@ min_cut_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
             for (i = 0; i < size; i++)
                 fmask |= (uint64_t)1 << c[i];
             if (cut_valid_c(rows, n, fmask, g, r, mode))
-                return PyLong_FromUnsignedLongLong(fmask);
+                return (int64_t)fmask;
             for (i = size - 1; i >= 0 && c[i] == n - size + i; i--)
                 ;
             if (i < 0)
@@ -302,7 +325,55 @@ min_cut_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
                 c[j] = c[j - 1] + 1;
         }
     }
-    return PyLong_FromLong(-1);
+    return -1;
+}
+
+static PyObject *
+min_cut_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+               PyObject *kwnames)
+{
+    static const char *const names[] = {"adj", "n", "g", "r", "mode", NULL};
+    PyObject *a[5];
+    uint64_t rows[MAX_N];
+    int n, g, r, mode;
+    if (parse_args("min_cut_search", args, nargs, kwnames, names, 5, a) < 0
+        || read_search(a + 1, &n, &g, &r, &mode) < 0 || read_rows(a[0], n, rows) < 0)
+        return NULL;
+    return PyLong_FromLongLong(search(rows, n, g, r, mode));
+}
+
+static PyObject *
+min_cut_search_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+                    PyObject *kwnames)
+{
+    static const char *const names[] = {"adjs", "n", "g", "r", "mode", NULL};
+    PyObject *a[5], *seq, *out, *item;
+    uint64_t rows[MAX_N];
+    int n, g, r, mode;
+    Py_ssize_t i, count;
+    if (parse_args("min_cut_search_many", args, nargs, kwnames, names, 5, a) < 0
+        || read_search(a + 1, &n, &g, &r, &mode) < 0)
+        return NULL;
+    seq = PySequence_Fast(a[0], "adjs must be a sequence of adjacencies");
+    if (seq == NULL)
+        return NULL;
+    count = PySequence_Fast_GET_SIZE(seq);
+    out = PyList_New(count);
+    if (out == NULL) {
+        Py_DECREF(seq);
+        return NULL;
+    }
+    for (i = 0; i < count; i++) {
+        if (read_rows(PySequence_Fast_GET_ITEM(seq, i), n, rows) < 0
+            || (item = PyLong_FromLongLong(search(rows, n, g, r, mode))) == NULL) {
+            Py_DECREF(out);
+            Py_DECREF(seq);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, item);
+    }
+    Py_DECREF(seq);
+    return out;
 }
 
 static PyObject *
@@ -420,6 +491,10 @@ static PyMethodDef kernel_methods[] = {
      METH_FASTCALL | METH_KEYWORDS,
      "min_cut_search(adj, n, g, r, mode)\n--\n\n"
      "First valid cut of least size in lexicographic order, or -1."},
+    {"min_cut_search_many", (PyCFunction)(void (*)(void))min_cut_search_many,
+     METH_FASTCALL | METH_KEYWORDS,
+     "min_cut_search_many(adjs, n, g, r, mode)\n--\n\n"
+     "[min_cut_search(adj, n, g, r, mode) for adj in adjs]."},
     {"power_iteration", (PyCFunction)(void (*)(void))power_iteration,
      METH_FASTCALL | METH_KEYWORDS,
      "power_iteration(adj, n, comp_mask, tol, max_iter)\n--\n\n"

@@ -23,13 +23,28 @@ lexicographically smaller cut: the lowest set bit of valid & layer[n - size]
 is the lexicographically least valid cut of that size, the certificate the
 C kernel's size-by-size loop returns. The tables have 2^n bits, so the
 search is capped at SEARCH_MAX_N vertices, as in the C kernel.
+
+min_cut_search_many decides a batch of graphs of one order in the same
+tables, widened: graph i owns the block of bits [i*B, i*B + 2^n), with
+B = max(2^n, 8) so that every block starts on a byte. xs and the layers are
+repeated in every block, and each neighbour u of v that is one in only some
+graphs of the batch carries a gate, the blocks of those graphs: the counter
+and the floods take u's table only within its gate. Each graph's cut is then
+read off its own block as above. A batch is at most TABLE_BITS bits wide,
+_batch_width(n) graphs (2^15 >> n for n >= 3); longer lists are cut into
+batches of that width. min_cut_search is the batch of one, which has no
+gates and no repeated tables.
 """
 
+from functools import reduce
 from math import sqrt
+from operator import and_, or_
 
 BACKEND = "pure"
 MAX_N = 64
 SEARCH_MAX_N = 20
+# a batch of the cut search holds at most this many bits per truth table
+TABLE_BITS = 1 << 15
 
 _tables_cache = {}
 
@@ -119,13 +134,49 @@ def _disconnected(adj, surv):
 def min_cut_search(adj, n, g, r, mode):
     """First valid cut of least size in lexicographic order, or -1.
 
-    Bit-parallel over every survivor set at once: see the module docstring.
+    The batch of one of min_cut_search_many: see the module docstring.
     """
+    _check_search_order(n)
     _check_order(adj, n)
+    return _search_batch((adj,), n, g, r, mode)[0]
+
+
+def min_cut_search_many(adjs, n, g, r, mode):
+    """[min_cut_search(adj, n, g, r, mode) for adj in adjs], deciding up to
+    _batch_width(n) graphs of order n in one set of truth tables."""
+    _check_search_order(n)
+    adjs = list(adjs)
+    for adj in adjs:
+        _check_order(adj, n)
+    width = _batch_width(n)
+    out = []
+    for start in range(0, len(adjs), width):
+        out += _search_batch(adjs[start:start + width], n, g, r, mode)
+    return out
+
+
+def _check_search_order(n):
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
     if n > SEARCH_MAX_N:
         raise ValueError(
             f"exhaustive cut search is capped at {SEARCH_MAX_N} vertices, got n = {n}"
         )
+
+
+def _block_bits(n):
+    # a graph's block of a batch: its 2^n bits, padded to start on a byte
+    return max(1 << n, 8)
+
+
+def _batch_width(n):
+    """Graphs of order n decided in one set of truth tables (2^15 >> n for
+    n >= 3)."""
+    return max(1, TABLE_BITS // _block_bits(n))
+
+
+def _search_batch(adjs, n, g, r, mode):
+    """The cuts of one batch: see the module docstring."""
     lo = 0 if mode in (0, 1) else 1
     hi = n + 1 if mode == 1 else n
     need = 2 if mode in (0, 2) else r
@@ -134,10 +185,11 @@ def min_cut_search(adj, n, g, r, mode):
         # components has >= g + 1 vertices: no cut exceeds n - need*(g+1)
         hi = min(hi, n - need * (g + 1) + 1)
     if hi <= lo:
-        return -1
+        return [-1] * len(adjs)
     xs, layer = _tables(n)
-    full = (1 << n) - 1
-    nbrs = [_bit_positions(adj[v] & full) for v in range(n)]
+    b = len(adjs)
+    nbytes = _block_bits(n) >> 3
+    common, gated = _neighbours(adjs, n)
     # survivor counts n - size, largest first: the smallest cuts first
     counts = range(n - lo, n - hi, -1)
     active = 0
@@ -149,16 +201,65 @@ def min_cut_search(adj, n, g, r, mode):
     elif mode == 1:
         for s in range(min(r, n + 1)):
             valid |= layer[s]
-    elif g > 0:
-        active &= ~_short_of_neighbours(xs, nbrs, g)
-    valid |= _components_reach(xs, nbrs, active, need)
-    for s in counts:
-        hits = valid & layer[s]
-        if hits:
-            p = (hits & -hits).bit_length() - 1
-            # vertex v is bit n - 1 - v of p: reversing the bits gives S
-            return full & ~int(format(p, f"0{n}b")[::-1], 2)
-    return -1
+    if b > 1:
+        active, valid = _replicate(active, b, nbytes), _replicate(valid, b, nbytes)
+        xs = [_replicate(x, b, nbytes) for x in xs]
+    if mode in (2, 3) and g > 0:
+        active &= ~_short_of_neighbours(xs, common, gated, g)
+    valid |= _components_reach(xs, common, gated, active, need)
+    if b == 1:
+        blocks = [valid]
+    else:
+        data = valid.to_bytes(b * nbytes, "little")
+        blocks = [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
+    full = (1 << n) - 1
+    spec = f"0{n}b"
+    out = []
+    for own in blocks:
+        for s in counts:
+            hits = own & layer[s]
+            if hits:
+                p = (hits & -hits).bit_length() - 1
+                # vertex v is bit n - 1 - v of p: reversing the bits gives S
+                out.append(full & ~int(format(p, spec)[::-1], 2))
+                break
+        else:
+            out.append(-1)
+    return out
+
+
+def _replicate(x, b, nbytes):
+    """x, a table of one graph, in the blocks of all b graphs of a batch."""
+    return int.from_bytes(x.to_bytes(nbytes, "little") * b, "little")
+
+
+def _neighbours(adjs, n):
+    """(common, gated) of a batch: common[v] lists the neighbours u of v in
+    every graph, and gated[v] pairs each neighbour u of v in only some graphs
+    with the blocks of those graphs."""
+    full = (1 << n) - 1
+    if len(adjs) == 1:
+        adj = adjs[0]
+        return [_bit_positions(adj[v] & full) for v in range(n)], [()] * n
+    step = _block_bits(n)
+    nbytes = step >> 3
+    rep = _replicate(1, len(adjs), nbytes)
+    common, gated = [], []
+    for v in range(n):
+        rows = [adj[v] & full for adj in adjs]
+        every = reduce(and_, rows)
+        some = reduce(or_, rows) & ~every
+        common.append(_bit_positions(every))
+        gates = []
+        if some:
+            packed = int.from_bytes(
+                b"".join([row.to_bytes(nbytes, "little") for row in rows]), "little"
+            )
+            for u in _bit_positions(some):
+                has = packed >> u & rep
+                gates.append((u, (has << step) - has))
+        gated.append(gates)
+    return common, gated
 
 
 def _tables(n):
@@ -183,30 +284,38 @@ def _tables(n):
     return tables
 
 
-def _short_of_neighbours(xs, nbrs, g):
+def _short_of_neighbours(xs, common, gated, g):
     """Sets S in which some member has fewer than g neighbours in S."""
     short = 0
-    for v, row in enumerate(nbrs):
-        if len(row) < g:
-            short |= xs[v]
+    steps = range(g - 1, 0, -1)
+    for v, x_v in enumerate(xs):
+        gates = gated[v]
+        if len(common[v]) + len(gates) < g:
+            short |= x_v
             continue
         # count[j]: v has at least j + 1 neighbours among those seen so far
         count = [0] * g
-        for u in row:
+        for u in common[v]:
             x = xs[u]
-            for j in range(g - 1, 0, -1):
+            for j in steps:
                 count[j] |= count[j - 1] & x
             count[0] |= x
-        short |= xs[v] & ~count[g - 1]
+        for u, gate in gates:
+            x = xs[u] & gate
+            for j in steps:
+                count[j] |= count[j - 1] & x
+            count[0] |= x
+        short |= x_v & ~count[g - 1]
     return short
 
 
-def _components_reach(xs, nbrs, active, need):
+def _components_reach(xs, common, gated, active, need):
     """Sets S among `active` whose induced subgraph has >= need components.
 
     Each of need - 1 rounds floods, in every S at once, the component of
     the least vertex of S not yet flooded; S has >= need components iff a
-    vertex is left after the last round.
+    vertex is left after the last round. v takes the flood of each u in
+    common[v], and of each (u, gate) in gated[v] within gate.
     """
     live = [x & active for x in xs]
     n = len(xs)
@@ -225,8 +334,13 @@ def _components_reach(xs, nbrs, active, need):
             changed = False
             for v in order:
                 acc = reach[v]
-                for u in nbrs[v]:
+                for u in common[v]:
                     acc |= reach[u]
+                # tested first: a batch of one has no gates, and an empty
+                # loop per vertex and sweep would cost it about 5%
+                if gated[v]:
+                    for u, gate in gated[v]:
+                        acc |= reach[u] & gate
                 acc &= live[v]
                 if acc != reach[v]:
                     reach[v] = acc

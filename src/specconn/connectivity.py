@@ -23,6 +23,11 @@ and capped at SEARCH_MAX_VERTICES vertices. Complete graphs have no valid
 cut in NEIGHBOR/FULL mode; that is reported as None rather than an invented
 value.
 
+min_cut_values gives only the sizes, for a sequence of graphs of one order.
+It makes one batched kernel call, in which the pure kernel decides 2^15 >> n
+graphs per set of truth tables, and builds no certificates. The verify scan
+uses it, since a class needs only k.
+
 In NEIGHBOR/FULL mode the sizes stop at n - need*(g+1), where need is 2
 (NEIGHBOR) or r (FULL): every survivor keeps g neighbours inside the deleted
 graph, so each of the >= need components has >= g + 1 vertices, and no
@@ -32,7 +37,7 @@ certificate; it only ends the search early for graphs that have no cut.
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import kernels
 from .graphs import Graph, is_connected
@@ -107,9 +112,32 @@ def min_cut(g: Graph, query: CutQuery) -> MinCut | None:
     Exhaustive search; the certificate is the lexicographically least
     minimizer. The kernel raises ValueError past SEARCH_MAX_VERTICES.
     """
-    if not is_connected(g):
-        raise ValueError("cut search expects a connected graph")
+    _require_connected(g)
     fmask = kernels.min_cut_search(g.adj, g.n, query.g, query.r, int(query.mode))
     if fmask < 0:
         return None
     return MinCut(fmask.bit_count(), _certificate(g, fmask))
+
+
+def min_cut_values(graphs: Sequence[Graph], query: CutQuery) -> list[int | None]:
+    """[min_cut(g, query).value for g in graphs], None where min_cut is None.
+
+    One batched kernel call for graphs of one order, and no certificates:
+    the pure kernel decides a whole batch in one set of truth tables.
+    """
+    if not graphs:
+        return []
+    n = graphs[0].n
+    for g in graphs:
+        if g.n != n:
+            raise ValueError(f"one batch holds graphs of orders {n} and {g.n}")
+        _require_connected(g)
+    fmasks = kernels.min_cut_search_many(
+        [g.adj for g in graphs], n, query.g, query.r, int(query.mode)
+    )
+    return [None if fmask < 0 else fmask.bit_count() for fmask in fmasks]
+
+
+def _require_connected(g: Graph) -> None:
+    if not is_connected(g):
+        raise ValueError("cut search expects a connected graph")

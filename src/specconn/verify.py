@@ -13,23 +13,25 @@ results are independent of --jobs. The scan carries only (index, graph6,
 delta, k, m) per member, m its edge count; canonical forms are computed per
 cell, for the graphs tied at exactly the best rho and for the isomorphism
 check. The scan reads the source in chunks of SCAN_CHUNK graphs; each chunk
-is classified by `_scan_chunk`, which encodes only the members. With one
-job the chunks are scanned in turn as they are read, so the source is never
-held whole; with more, a process pool scans them and the results are merged
-in input order.
+is classified by `_scan_chunk`, which finds every graph's k with one call of
+connectivity.min_cut_values (the pure kernel decides 2^15 >> n graphs per
+set of truth tables) and encodes only the members. With one job the chunks
+are scanned in turn as they are read, so the source is never held whole;
+with more, a process pool scans them and the results are merged in input
+order.
 
 A report needs only each cell's best rho, the members tied at it, and the
 second-best rho, so rho is solved only for members that could still be one
-of those. Every member is connected (min_cut rejects other graphs), so its
-rho is at most Hong's bound sqrt(2m - n + 1) (Y. Hong, Linear Algebra Appl.
-108, 1988). Members are visited in descending bound, and the visit stops at
-the first whose bound plus a slack of 1e-9*max(1, bound) falls below the
-second-best rho solved so far: the solver's Rayleigh quotient never exceeds
-the true rho by more than rounding, which the slack covers, so that member
-and every later one has a computed rho below the second best and can change
-neither the best, its ties, nor the second best. The solved members are then
-merged in input order, so among equal canonical forms the first added still
-wins.
+of those. Every member is connected (the cut search raises ValueError on a
+disconnected source graph), so its rho is at most Hong's bound
+sqrt(2m - n + 1) (Y. Hong, Linear Algebra Appl. 108, 1988). Members are
+visited in descending bound, and the visit stops at the first whose bound
+plus a slack of 1e-9*max(1, bound) falls below the second-best rho solved so
+far: the solver's Rayleigh quotient never exceeds the true rho by more than
+rounding, which the slack covers, so that member and every later one has a
+computed rho below the second best and can change neither the best, its
+ties, nor the second best. The solved members are then merged in input
+order, so among equal canonical forms the first added still wins.
 """
 
 import csv
@@ -42,7 +44,7 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from .census import connected_census
-from .connectivity import CutMode, CutQuery, min_cut
+from .connectivity import CutMode, CutQuery, min_cut, min_cut_values
 from .families import InfeasibleFamilyError, claimed_extremal, construct
 from .graphs import Graph, canonical_form, degree_profile, graph6_decode, graph6_encode
 from .spectral import spectral_radius
@@ -77,14 +79,13 @@ def _scan_chunk(args) -> list[tuple[int, str, int, int, int]]:
     (index, graph6, delta, k, m) for each member, m its edge count. A graph
     with no cut is no member."""
     start, chunk, g_param, r, mode = args
-    query = _membership_query(g_param, r, mode)
+    values = min_cut_values(chunk, _membership_query(g_param, r, mode))
     out = []
-    for index, h in enumerate(chunk, start):
-        result = min_cut(h, query)
-        if result is not None:
+    for index, (h, k) in enumerate(zip(chunk, values), start):
+        if k is not None:
             profile = degree_profile(h)
             m = sum(profile.degrees) // 2
-            out.append((index, graph6_encode(h), profile.min_degree, result.value, m))
+            out.append((index, graph6_encode(h), profile.min_degree, k, m))
     return out
 
 

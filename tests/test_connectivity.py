@@ -6,6 +6,7 @@ from specconn.connectivity import (
     CutQuery,
     is_valid_cut,
     min_cut,
+    min_cut_values,
 )
 from specconn.families import Family, FamilyParams, construct
 from specconn.graphs import (
@@ -14,6 +15,7 @@ from specconn.graphs import (
     cycle_graph,
     degree_profile,
     empty_graph,
+    from_edges,
     mask_of,
     path_graph,
     vertices_of,
@@ -125,12 +127,30 @@ def test_zero_good_two_component_cut_equals_classic(n):
 
 def test_zero_good_reduction_holds_at_order_eight():
     # the same identity over the full order-8 census
-    for g in connected_census(8):
-        if g.edge_count() == 28:
-            continue
-        classic = min_cut(g, CutQuery(0, 2, CutMode.CLASSIC)).value
-        full = min_cut(g, CutQuery(0, 2, CutMode.FULL)).value
-        assert classic == full, g
+    census = [g for g in connected_census(8) if g.edge_count() < 28]
+    classic = min_cut_values(census, CutQuery(0, 2, CutMode.CLASSIC))
+    full = min_cut_values(census, CutQuery(0, 2, CutMode.FULL))
+    assert None not in classic
+    assert classic == full
+
+
+def test_min_cut_values_match_min_cut(rng):
+    for n in (2, 7, 9):
+        graphs = [random_connected_graph(rng, n) for _ in range(60)] + [complete_graph(n)]
+        for mode in CutMode:
+            query = CutQuery(rng.randint(0, 2), rng.randint(2, 3), mode)
+            want = [None if (cut := min_cut(h, query)) is None else cut.value for h in graphs]
+            assert min_cut_values(graphs, query) == want
+    assert min_cut_values([], CutQuery(1, 2)) == []
+
+
+def test_min_cut_values_rejects_disconnected_and_mixed_orders():
+    split = from_edges(5, [(0, 1), (2, 3), (3, 4)])
+    for graphs in ([split], [path_graph(5), split], [path_graph(5)] * 3 + [split]):
+        with pytest.raises(ValueError, match="cut search expects a connected graph"):
+            min_cut_values(graphs, CutQuery(1, 2))
+    with pytest.raises(ValueError, match="orders 5 and 6"):
+        min_cut_values([path_graph(5), path_graph(6)], CutQuery(1, 2))
 
 
 @pytest.mark.parametrize("n", range(2, 7))

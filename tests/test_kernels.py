@@ -34,12 +34,15 @@ def test_keyword_arguments(compiled):
         _kernels_py.components_masks(adj, 5, 0b001) == [0b110, 0b11000]
     assert compiled.components_masks(adj, 5) == [0b111, 0b11000]
     assert compiled.min_cut_search(adj, 5, mode=0, r=2, g=0) == 0
+    assert compiled.min_cut_search_many(n=5, adjs=[adj, adj], g=0, r=2, mode=0) == [0, 0]
     with pytest.raises(TypeError):
         compiled.cut_valid(adj, 5, 0, 0, 2, 0, mode=0)
     with pytest.raises(TypeError):
         compiled.components_masks(adj, 5, bogus=0)
     with pytest.raises(TypeError):
         compiled.min_cut_search(adj, 5, 0, 2)
+    with pytest.raises(TypeError):
+        compiled.min_cut_search_many([adj], 5, 0, 2, 0, adj=adj)
 
 
 def test_components_parity(compiled, rng):
@@ -96,18 +99,96 @@ def test_min_cut_parity(compiled, rng):
                 _kernels_py.min_cut_search(g.adj, g.n, gg, r, mode)
 
 
-def test_capped_min_cut_matches_uncapped_search(compiled):
+# every connected graph of order <= 7 is searched in all four modes
+SMALL_QUERIES = [(0, 2, 0), (0, 2, 1), (0, 3, 1)]
+SMALL_QUERIES += [(g, 2, 2) for g in range(3)]
+SMALL_QUERIES += [(g, r, 3) for g in range(3) for r in (2, 3, 4)]
+
+
+@pytest.fixture(scope="module")
+def small_cuts():
+    """{(n, g, r, mode): _brute_min_cut of each connected graph of order n}."""
+    return {
+        (n, *query): [_brute_min_cut(h.adj, n, *query) for h in connected_census(n)]
+        for n in range(1, 8)
+        for query in SMALL_QUERIES
+    }
+
+
+def test_capped_min_cut_matches_uncapped_search(compiled, small_cuts):
     # good-neighbor modes stop at size n - need*(g+1); on every connected
     # graph of order <= 7 that gives the mask of the search over all sizes
-    queries = [(g, 2, 2) for g in range(3)]
-    queries += [(g, r, 3) for g in range(3) for r in (2, 3, 4)]
-    for n in range(1, 8):
-        for h in connected_census(n):
-            for g, r, mode in queries:
-                want = _brute_min_cut(h.adj, n, g, r, mode)
-                for module in (compiled, _kernels_py):
-                    assert module.min_cut_search(h.adj, n, g, r, mode) == want, \
-                        (module.BACKEND, h, g, r, mode)
+    for (n, g, r, mode), want in small_cuts.items():
+        for h, cut in zip(connected_census(n), want):
+            for module in (compiled, _kernels_py):
+                assert module.min_cut_search(h.adj, n, g, r, mode) == cut, \
+                    (module.BACKEND, h, g, r, mode)
+
+
+def _in_batches(module, adjs, size, n, g, r, mode):
+    out = []
+    for start in range(0, len(adjs), size):
+        out += module.min_cut_search_many(adjs[start:start + size], n, g, r, mode)
+    return out
+
+
+def test_min_cut_search_many_matches_brute_force(compiled, small_cuts):
+    # batches of 1, of an odd size, of the pure kernel's width W and of
+    # W + 1; for the last two the census is repeated past W + 1 graphs, so
+    # the pure kernel splits a batch into tables of W graphs and fewer
+    for (n, g, r, mode), want in small_cuts.items():
+        census = [h.adj for h in connected_census(n)]
+        width = _kernels_py._batch_width(n)
+        laps = width // len(census) + 2
+        for module in (compiled, _kernels_py):
+            for size in (1, 7):
+                assert _in_batches(module, census, size, n, g, r, mode) == want, \
+                    (module.BACKEND, n, g, r, mode, size)
+            for size in (width, width + 1):
+                assert _in_batches(module, census * laps, size, n, g, r, mode) == \
+                    want * laps, (module.BACKEND, n, g, r, mode, size)
+
+
+def test_min_cut_search_many_mixes_members_and_non_members(compiled, rng):
+    # disconnected, sparse, dense and complete graphs in one batch: some
+    # have a cut and some none, and each gets its own
+    for n in (8, 11):
+        graphs = [complete_graph(n), path_graph(n)]
+        graphs += [random_graph(rng, n, rng.choice([0.1, 0.3, 0.6, 0.9])) for _ in range(40)]
+        adjs = [h.adj for h in graphs]
+        mixed = 0
+        for g, r, mode in ((0, 2, 0), (0, 3, 1), (1, 2, 2), (1, 2, 3), (2, 3, 3)):
+            want = [_kernels_py.min_cut_search(adj, n, g, r, mode) for adj in adjs]
+            mixed += -1 in want and max(want) >= 0
+            for module in (compiled, _kernels_py):
+                assert module.min_cut_search_many(adjs, n, g, r, mode) == want, \
+                    (module.BACKEND, n, g, r, mode)
+                assert module.min_cut_search_many(adjs[::-1], n, g, r, mode) == want[::-1]
+        assert mixed >= 2
+    assert all(_brute_min_cut(adj, 11, 1, 2, 3) == cut
+               for adj, cut in zip(adjs, _kernels_py.min_cut_search_many(adjs, 11, 1, 2, 3)))
+
+
+def test_min_cut_search_many_rejects_bad_input(compiled):
+    for module in (compiled, _kernels_py):
+        assert module.min_cut_search_many([], 5, 1, 2, 3) == []
+        assert module.min_cut_search_many((), 20, 1, 2, 3) == []
+    for n, message in ((-1, "n must be in 1..64, got -1"), (0, "n must be in 1..64, got 0"),
+                       (65, "n must be in 1..64, got 65"),
+                       (21, "exhaustive cut search is capped at 20 vertices, got n = 21")):
+        for adjs in ([], [[0] * 66], [[0] * 66] * 3):
+            for module in (compiled, _kernels_py):
+                with pytest.raises(ValueError) as exc:
+                    module.min_cut_search_many(adjs, n, 1, 2, 3)
+                assert str(exc.value) == message
+    # a graph with too few rows anywhere in the batch
+    for bad in range(3):
+        adjs = [[0b10, 0b101, 0b1010, 0b10100, 0b1000]] * 3
+        adjs[bad] = [0b10, 0b101, 0b10, 0]
+        for module in (compiled, _kernels_py):
+            with pytest.raises(ValueError) as exc:
+                module.min_cut_search_many(adjs, 5, 1, 2, 3)
+            assert str(exc.value) == "adj has 4 rows, fewer than n = 5"
 
 
 def test_min_cut_matches_brute_force_on_order_8_sample(compiled):

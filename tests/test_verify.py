@@ -227,6 +227,19 @@ def test_wrong_order_mid_stream_raises():
         assert str(exc.value) == "source contains a graph of order 5, expected 6"
 
 
+@pytest.mark.parametrize("where", [0, 7, 15, 16, 112])
+def test_disconnected_source_graph_raises(monkeypatch, where):
+    # first graph, middle and last graph of a chunk of 16, first of the
+    # next chunk, and last of the source
+    monkeypatch.setattr(verify, "SCAN_CHUNK", 16)
+    census = connected_census(6)
+    source = census[:where] + [from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5)])] + census[where:]
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as exc:
+            run_verification(6, 1, 2, source=iter(source), jobs=jobs)
+        assert str(exc.value) == "cut search expects a connected graph"
+
+
 def test_scan_decodes_only_solved_and_best_members(monkeypatch):
     # with one job the scan classifies the source graphs it is given; graph6
     # is decoded only for the 125 members whose rho is solved and once per
