@@ -211,7 +211,9 @@ def _search_batch(adjs, n, g, r, mode):
         blocks = [valid]
     else:
         data = valid.to_bytes(b * nbytes, "little")
-        blocks = [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
+        blocks = [
+            int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)
+        ]
     full = (1 << n) - 1
     spec = f"0{n}b"
     out = []

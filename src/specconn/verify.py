@@ -22,16 +22,16 @@ order.
 
 A report needs only each cell's best rho, the members tied at it, and the
 second-best rho, so rho is solved only for members that could still be one
-of those. Every member is connected (the cut search raises ValueError on a
-disconnected source graph), so its rho is at most Hong's bound
-sqrt(2m - n + 1) (Y. Hong, Linear Algebra Appl. 108, 1988). Members are
-visited in descending bound, and the visit stops at the first whose bound
-plus a slack of 1e-9*max(1, bound) falls below the second-best rho solved so
-far: the solver's Rayleigh quotient never exceeds the true rho by more than
-rounding, which the slack covers, so that member and every later one has a
-computed rho below the second best and can change neither the best, its
-ties, nor the second best. The solved members are then merged in input
-order, so among equal canonical forms the first added still wins.
+of those. Every member is connected (min_cut_values rejects others), so its
+rho is at most Hong's bound sqrt(2m - n + 1) (Y. Hong, Linear Algebra Appl.
+108, 1988). Members are visited in descending bound, and the visit stops at
+the first whose bound plus a slack of 1e-9*max(1, bound) falls below the
+second-best rho solved so far: the solver's Rayleigh quotient never exceeds
+the true rho by more than rounding, which the slack covers, so that member
+and every later one has a computed rho below the second best and can change
+neither the best, its ties, nor the second best. The solved members are then
+merged in input order, so among equal canonical forms the first added still
+wins.
 """
 
 import csv

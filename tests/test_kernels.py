@@ -2,9 +2,9 @@
 
 `compiled` is the C extension built by setup.py into a temp dir (see
 conftest). The pure-Python module is the oracle, except for
-`min_cut_search`: both backends' searches are checked against
-`conftest._brute_min_cut`, which tests every candidate set in order with
-the pure `cut_valid`.
+`min_cut_search` and `min_cut_search_many`: both backends' searches are
+checked against `conftest._brute_min_cut`, which tests every candidate set
+in order with the pure `cut_valid`.
 """
 
 import random
@@ -118,6 +118,7 @@ def small_cuts():
 def test_capped_min_cut_matches_uncapped_search(compiled, small_cuts):
     # good-neighbor modes stop at size n - need*(g+1); on every connected
     # graph of order <= 7 that gives the mask of the search over all sizes
+    # (modes 0 and 1 have no cap and are checked the same way)
     for (n, g, r, mode), want in small_cuts.items():
         for h, cut in zip(connected_census(n), want):
             for module in (compiled, _kernels_py):
