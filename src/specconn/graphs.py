@@ -42,7 +42,7 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on labeled vertices 0..n-1.
 
@@ -263,7 +263,8 @@ def graph6_decode(text: str) -> Graph:
             row += 1
             if row == col:
                 row, col = 0, col + 1
-    return Graph(n, tuple(rows))
+    # symmetric, loop-free and within n by construction
+    return _trusted(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,17 @@ family for the same parameters, and records whether the maximizer is
 isomorphic to it with matching rho. Reports record facts; they never assume the claim.
 
 Ties are broken on canonical form (lexicographically least wins), so
-results are independent of --jobs. The scan carries only (index, graph6,
-delta, k, m) per member, m its edge count; canonical forms are computed per
-cell, for the graphs tied at exactly the best rho and for the isomorphism
-check. The scan reads the source in chunks of SCAN_CHUNK graphs; each chunk
-is classified by `_scan_chunk`, which finds every graph's k with one call of
-connectivity.min_cut_values (the pure kernel decides 2^15 >> n graphs per
-set of truth tables) and encodes only the members. With one job the chunks
-are scanned in turn as they are read, so the source is never held whole;
-with more, a process pool scans them and the results are merged in input
-order.
+results are independent of --jobs. The scan reads the source in chunks of
+SCAN_CHUNK graphs and finds every graph's k with one call of
+connectivity.min_cut_values per chunk (the pure kernel decides 2^15 >> n
+graphs per set of truth tables). With one job the chunks are scanned in
+turn as they are read, so the source is never held whole; with more, a
+process pool scans them and returns only the cut sizes. Either way the
+parent pairs each chunk with its sizes in input order and keeps the member
+graphs themselves, grouped per (delta, k) cell, so a member's position in
+its cell is its input order. Canonical forms are computed per cell, for the
+graphs tied at exactly the best rho and for the isomorphism check, and
+graph6 only for the graphs a report names.
 
 A report needs only each cell's best rho, the members tied at it, and the
 second-best rho, so rho is solved only for members that could still be one
@@ -29,29 +30,29 @@ the first whose bound plus a slack of 1e-9*max(1, bound) falls below the
 second-best rho solved so far: the solver's Rayleigh quotient never exceeds
 the true rho by more than rounding, which the slack covers, so that member
 and every later one has a computed rho below the second best and can change
-neither the best, its ties, nor the second best. The solved members are then
-merged in input order, so among equal canonical forms the first added still
-wins.
+neither the best, its ties, nor the second best. Ties keep their input
+position, so among equal canonical forms the first in input order wins.
 """
 
 import csv
 import json
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Iterator
 
 from .census import connected_census
 from .connectivity import CutMode, CutQuery, min_cut, min_cut_values
 from .families import InfeasibleFamilyError, claimed_extremal, construct
-from .graphs import Graph, canonical_form, degree_profile, graph6_decode, graph6_encode
+from .graphs import Graph, canonical_form, degree_profile, graph6_encode
 from .spectral import spectral_radius
 
 RHO_TOL = 1e-8
 
-# source graphs per scan task
+# source graphs per min_cut_values call
 SCAN_CHUNK = 512
 
 COMPONENT_MODE = "component"
@@ -74,45 +75,24 @@ def _membership_query(g_param: int, r: int, mode: str) -> CutQuery:
     return CutQuery(g_param, r, CutMode.NEIGHBOR if mode == NEIGHBOR_MODE else CutMode.FULL)
 
 
-def _scan_chunk(args) -> list[tuple[int, str, int, int, int]]:
-    """Classify a chunk of source graphs starting at input index `start`;
-    (index, graph6, delta, k, m) for each member, m its edge count. A graph
-    with no cut is no member."""
-    start, chunk, g_param, r, mode = args
-    values = min_cut_values(chunk, _membership_query(g_param, r, mode))
-    out = []
-    for index, (h, k) in enumerate(zip(chunk, values), start):
-        if k is not None:
-            profile = degree_profile(h)
-            m = sum(profile.degrees) // 2
-            out.append((index, graph6_encode(h), profile.min_degree, k, m))
-    return out
-
-
-def _scan_tasks(graphs: Iterator[Graph], g_param: int, r: int, mode: str):
-    start = 0
-    while chunk := list(islice(graphs, SCAN_CHUNK)):
-        yield start, chunk, g_param, r, mode
-        start += len(chunk)
-
-
 @dataclass
 class _CellBest:
-    """Best rho of a cell, the graph6 lines tied at exactly that rho, and the
-    best rho below it; population counts every member, solved or not."""
+    """Best rho of a cell, the members tied at exactly that rho as (position,
+    graph), position the member's input order, and the best rho below it;
+    population counts every member, solved or not."""
 
     population: int = 0
     rho: float | None = None
-    tied: list[str] = field(default_factory=list)
+    tied: list[tuple[int, Graph]] = field(default_factory=list)
     below: float | None = None
 
-    def add(self, rho: float, g6: str) -> None:
+    def add(self, rho: float, position: int, graph: Graph) -> None:
         if self.rho is None or rho > self.rho:
             self.below = self.rho
             self.rho = rho
-            self.tied = [g6]
+            self.tied = [(position, graph)]
         elif rho == self.rho:
-            self.tied.append(g6)
+            self.tied.append((position, graph))
         elif self.below is None or rho > self.below:
             self.below = rho
 
@@ -122,12 +102,12 @@ class _CellBest:
     def best(self) -> tuple[str, str]:
         """(canonical form, graph6) of the best member. On an exact rho tie
         the least canonical form wins, so the choice does not depend on the
-        order of the members (among equal forms, the first added wins)."""
-        canon, _, g6 = min(
-            (canonical_form(graph6_decode(line)), i, line)
-            for i, line in enumerate(self.tied)
+        order of the members (among equal forms, the first in input order
+        wins)."""
+        canon, _, graph = min(
+            (canonical_form(graph), position, graph) for position, graph in self.tied
         )
-        return canon, g6
+        return canon, graph6_encode(graph)
 
 
 @dataclass
@@ -207,12 +187,15 @@ def run_verification(
     if mode == NEIGHBOR_MODE and r != 2:
         raise ValueError(f"neighbor mode is the r = 2 specialization; got r = {r}")
     graphs = _of_order(source if source is not None else connected_census(n), n)
-    tasks = _scan_tasks(graphs, g, r, mode)
-    members: dict[tuple[int, int], list[tuple[int, str, int, int, int]]] = {}
+    held: deque[list[Graph]] = deque()
+    chunks = _chunks(graphs, held)
+    query = _membership_query(g, r, mode)
+    members: dict[tuple[int, int], list[Graph]] = {}
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        for part in (pool.map if pool else map)(_scan_chunk, tasks):
-            for record in part:
-                members.setdefault(record[2:4], []).append(record)
+        for values in (pool.map if pool else map)(min_cut_values, chunks, repeat(query)):
+            for h, k in zip(held.popleft(), values):
+                if k is not None:
+                    members.setdefault((degree_profile(h).min_degree, k), []).append(h)
     buckets = {cell: _cell_best(n, group) for cell, group in members.items()}
 
     if cells is None:
@@ -240,24 +223,26 @@ def _of_order(graphs: Iterable[Graph], n: int) -> Iterator[Graph]:
         yield h
 
 
-def _cell_best(n: int, group: list[tuple[int, str, int, int, int]]) -> _CellBest:
+def _chunks(graphs: Iterator[Graph], held: deque[list[Graph]]) -> Iterator[list[Graph]]:
+    """SCAN_CHUNK graphs at a time, each also appended to `held` until the
+    caller pairs it with its cut sizes."""
+    while chunk := list(islice(graphs, SCAN_CHUNK)):
+        held.append(chunk)
+        yield chunk
+
+
+def _cell_best(n: int, group: list[Graph]) -> _CellBest:
     """Best, ties and second best of one cell's members (in input order),
     solving rho only while the Hong bound can still reach the second best."""
-    probe = _CellBest()
-    solved = []
+    cell = _CellBest(population=len(group))
+    edges = [h.edge_count() for h in group]
     # descending m is descending bound: every member has order n
-    for index, line, _, _, m in sorted(group, key=lambda rec: rec[4], reverse=True):
-        bound = math.sqrt(2 * m - n + 1)
-        second = probe.second_rho()
+    for position in sorted(range(len(group)), key=edges.__getitem__, reverse=True):
+        bound = math.sqrt(2 * edges[position] - n + 1)
+        second = cell.second_rho()
         if second is not None and bound + 1e-9 * max(1.0, bound) < second:
             break
-        rho = spectral_radius(graph6_decode(line)).rho
-        probe.add(rho, line)
-        solved.append((index, rho, line))
-    solved.sort()
-    cell = _CellBest(population=len(group))
-    for _, rho, line in solved:
-        cell.add(rho, line)
+        cell.add(spectral_radius(group[position]).rho, position, group[position])
     return cell
 
 

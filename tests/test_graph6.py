@@ -3,6 +3,7 @@ import pytest
 
 from specconn.census import connected_census
 from specconn.graphs import (
+    Graph,
     GraphFormatError,
     complete_bipartite,
     complete_graph,
@@ -58,28 +59,42 @@ def test_multibyte_size_header_decodes():
 
 
 def test_decode_rejects_malformed_input():
-    with pytest.raises(GraphFormatError):
-        graph6_decode("")
-    with pytest.raises(GraphFormatError):
-        graph6_decode("B")  # missing payload
-    with pytest.raises(GraphFormatError):
-        graph6_decode("A_?")  # trailing junk
-    with pytest.raises(GraphFormatError):
-        graph6_decode("A" + chr(20))  # non-printable payload byte
-    with pytest.raises(GraphFormatError):
-        graph6_decode("A@")  # K_1 padding bits set (n=2 uses only bit 1)
-    with pytest.raises(GraphFormatError):
-        graph6_decode("??")  # zero vertices
-    with pytest.raises(GraphFormatError):
-        graph6_decode("~~????")  # 8-byte header: over the 64-vertex cap
-    with pytest.raises(GraphFormatError):
-        graph6_decode("~?")  # truncated long header
+    for record, message in [
+        ("", "empty graph6 record"),
+        ("B", "graph6 payload length 0 != 1 for order 3"),  # missing payload
+        ("A_?", "graph6 payload length 2 != 1 for order 2"),  # trailing junk
+        ("A" + chr(20), "non-printable graph6 byte 20"),
+        ("A@", "nonzero padding bits in final graph6 group"),  # n=2 uses only bit 1
+        ("??", "graph6 record encodes an empty vertex set"),
+        ("~~????", "8-byte graph6 size header exceeds the n <= 64 cap"),
+        ("~?", "truncated multi-byte graph6 size header"),
+    ]:
+        with pytest.raises(GraphFormatError) as exc:
+            graph6_decode(record)
+        assert str(exc.value) == message
 
 
 def test_decode_rejects_orders_above_cap():
-    # long-form header for n = 65
-    with pytest.raises(GraphFormatError):
+    # long-form header for n = 66
+    with pytest.raises(GraphFormatError, match="^graph6 order 66 exceeds the 64-vertex cap$"):
         graph6_decode("~?@A" + "?" * 347)
+
+
+def test_decode_of_every_small_payload_is_a_valid_graph():
+    # every zero-padded payload for n <= 6: the decoder builds rows without
+    # validation, so each must still pass Graph's checks and round-trip
+    for n in range(1, 7):
+        nbits = n * (n - 1) // 2
+        groups = (nbits + 5) // 6
+        pad = 6 * groups - nbits
+        for bits in range(1 << nbits):
+            word = bits << pad
+            record = chr(n + 63) + "".join(
+                chr((word >> 6 * (groups - 1 - i) & 63) + 63) for i in range(groups)
+            )
+            g = graph6_decode(record)
+            assert Graph(n, g.adj) == g
+            assert graph6_encode(g) == record
 
 
 def test_encode_caps_at_62():

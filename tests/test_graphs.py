@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from itertools import permutations
 
@@ -10,6 +11,7 @@ from specconn.families import Family, FamilyParams, construct, witness_cut
 from specconn.graphs import (
     Graph,
     _canonical_adj,
+    _trusted,
     canonical_form,
     complete_bipartite,
     complete_graph,
@@ -38,6 +40,16 @@ def test_graph_validation():
         Graph(65, (0,) * 65)
     with pytest.raises(ValueError):
         from_edges(3, [(0, 0)])
+
+
+def test_graph_is_slotted_and_pickles_by_value(rng):
+    # a process pool ships chunks of Graphs to its workers
+    for _ in range(50):
+        g = random_graph(rng, rng.randint(1, 12), rng.random())
+        assert not hasattr(g, "__dict__")
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g)
+        assert _trusted(g.n, g.adj) == Graph(g.n, g.adj)
 
 
 def test_components_of_cycle_minus_two():

@@ -150,13 +150,13 @@ def test_one_job_scan_streams_the_source_in_chunks(monkeypatch):
             read += 1
             yield h
 
-    def spy(args):
-        start, chunk = args[:2]
+    def spy(chunk, query):
+        start = sum(size for _, size, _ in scanned)
         scanned.append((start, len(chunk), read))
-        return real(args)
+        return real(chunk, query)
 
-    real = verify._scan_chunk
-    monkeypatch.setattr(verify, "_scan_chunk", spy)
+    real = verify.min_cut_values
+    monkeypatch.setattr(verify, "min_cut_values", spy)
     streamed = run_verification(7, 1, 2, source=source())
     assert scanned == [(i, min(100, 853 - i), min(i + 100, 853)) for i in range(0, 853, 100)]
     monkeypatch.undo()
@@ -240,22 +240,20 @@ def test_disconnected_source_graph_raises(monkeypatch, where):
         assert str(exc.value) == "cut search expects a connected graph"
 
 
-def test_scan_decodes_only_solved_and_best_members(monkeypatch):
-    # with one job the scan classifies the source graphs it is given; graph6
-    # is decoded only for the 125 members whose rho is solved and once per
-    # cell for its best (no cell of this run has a top tie), not once more
-    # for every one of the 853 census graphs
-    decoded = []
-    real = verify.graph6_decode
+def test_scan_encodes_only_reported_graphs(monkeypatch):
+    # graph6 is written once per cell for its best member and once for its
+    # claimed family graph, not for every one of the 512 class members
+    encoded = []
+    real = verify.graph6_encode
 
-    def spy(text):
-        decoded.append(text)
-        return real(text)
+    def spy(g):
+        encoded.append(g)
+        return real(g)
 
-    monkeypatch.setattr(verify, "graph6_decode", spy)
+    monkeypatch.setattr(verify, "graph6_encode", spy)
     reports = run_verification(7, 1, 2, jobs=1)
     assert len(reports) == 10
-    assert len(decoded) == 125 + 10
+    assert len(encoded) == 10 + 10
 
 
 def test_rho_is_solved_only_where_a_top_two_can_move(monkeypatch):
