@@ -1,12 +1,17 @@
 /* Compiled bitset kernels: a hand-written CPython extension.
  *
- * Mirrors specconn._kernels_py exactly; keep the two in sync (the parity
- * tests compare them on random inputs). Adjacency is a sequence of n
- * neighbour bitmasks and vertex sets are bitmasks, held here as uint64_t,
- * so 1 <= n <= 64. Mode codes for the cut search: 0 classic,
- * 1 component-count, 2 good-neighbor, 3 good-neighbor+components.
- * min_cut_search_many is a loop over the same search; only the pure kernel
- * decides a batch in shared tables.
+ * Only the hot loops live here: the flood fill, the two cut searches and
+ * power iteration. Each mirrors the function of the same name in
+ * specconn._kernels_py, positional arguments only, with the same results
+ * and the same ValueError messages; the parity tests compare the two on
+ * random inputs. The one-set predicate cut_valid is not exported: the pure
+ * one is the reference both searches are tested against, and cut_valid_c
+ * below serves only this search. Adjacency is a sequence of n neighbour
+ * bitmasks and vertex sets are bitmasks, held here as uint64_t, so
+ * 1 <= n <= 64. Mode codes for the cut search: 0 classic, 1 component-count,
+ * 2 good-neighbor, 3 good-neighbor+components; any other code is a
+ * ValueError. min_cut_search_many is a loop over the same search; only the
+ * pure kernel decides a batch in shared tables.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -49,47 +54,21 @@ full_mask(int n)
     return ~(uint64_t)0 >> (MAX_N - n);
 }
 
-/* Match vectorcall arguments to the NULL-terminated parameter names; out[i]
- * is a borrowed reference, NULL for an optional parameter not given. Returns
- * -1 with an exception set. */
+/* Check that fname got lo..hi arguments; returns -1 with an exception set.
+ * The functions are METH_FASTCALL only, so the interpreter itself rejects
+ * keyword arguments. */
 static int
-parse_args(const char *fname, PyObject *const *args, Py_ssize_t nargs,
-           PyObject *kwnames, const char *const *names, Py_ssize_t nrequired,
-           PyObject **out)
+check_arity(const char *fname, Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi)
 {
-    Py_ssize_t i, j, nparams = 0;
-    Py_ssize_t nkw = kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames);
-    while (names[nparams] != NULL)
-        nparams++;
-    if (nargs > nparams) {
-        PyErr_Format(PyExc_TypeError, "%s() takes at most %zd arguments (%zd given)",
-                     fname, nparams, nargs);
-        return -1;
-    }
-    for (i = 0; i < nparams; i++)
-        out[i] = i < nargs ? args[i] : NULL;
-    for (j = 0; j < nkw; j++) {
-        PyObject *key = PyTuple_GET_ITEM(kwnames, j);
-        for (i = 0; i < nparams; i++) {
-            if (PyUnicode_CompareWithASCIIString(key, names[i]) == 0)
-                break;
-        }
-        if (i == nparams || out[i] != NULL) {
-            PyErr_Format(PyExc_TypeError, "%s() got %s argument '%U'", fname,
-                         i == nparams ? "an unexpected keyword" : "multiple values for",
-                         key);
-            return -1;
-        }
-        out[i] = args[nargs + j];
-    }
-    for (i = 0; i < nrequired; i++) {
-        if (out[i] == NULL) {
-            PyErr_Format(PyExc_TypeError, "%s() missing required argument '%s'",
-                         fname, names[i]);
-            return -1;
-        }
-    }
-    return 0;
+    if (nargs >= lo && nargs <= hi)
+        return 0;
+    if (lo == hi)
+        PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)",
+                     fname, lo, nargs);
+    else
+        PyErr_Format(PyExc_TypeError, "%s() takes from %zd to %zd arguments (%zd given)",
+                     fname, lo, hi, nargs);
+    return -1;
 }
 
 /* Convert a Python int to a C int; returns -1 with an exception set. */
@@ -197,6 +176,8 @@ count_components(const uint64_t *rows, uint64_t surv, int stop_at)
     return count;
 }
 
+/* Whether deleting fmask is a valid cut in the given mode: the predicate of
+ * _kernels_py.cut_valid, kept here only for search. */
 static int
 cut_valid_c(const uint64_t *rows, int n, uint64_t fmask, int g, int r, int mode)
 {
@@ -227,16 +208,14 @@ cut_valid_c(const uint64_t *rows, int n, uint64_t fmask, int g, int r, int mode)
 }
 
 static PyObject *
-components_masks(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-                 PyObject *kwnames)
+components_masks(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *const names[] = {"adj", "n", "removed", NULL};
-    PyObject *a[3], *out, *item;
+    PyObject *out, *item;
     uint64_t rows[MAX_N], removed = 0, surv, rem, comp;
     int n;
-    if (parse_args("components_masks", args, nargs, kwnames, names, 2, a) < 0
-        || read_adj(a[0], a[1], &n, rows) < 0
-        || (a[2] != NULL && as_mask(a[2], &removed) < 0))
+    if (check_arity("components_masks", nargs, 2, 3) < 0
+        || read_adj(args[0], args[1], &n, rows) < 0
+        || (nargs == 3 && as_mask(args[2], &removed) < 0))
         return NULL;
     out = PyList_New(0);
     if (out == NULL)
@@ -255,26 +234,12 @@ components_masks(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     return out;
 }
 
-static PyObject *
-cut_valid(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-          PyObject *kwnames)
-{
-    static const char *const names[] = {"adj", "n", "fmask", "g", "r", "mode", NULL};
-    PyObject *a[6];
-    uint64_t rows[MAX_N], fmask;
-    int n, g, r, mode;
-    if (parse_args("cut_valid", args, nargs, kwnames, names, 6, a) < 0
-        || read_adj(a[0], a[1], &n, rows) < 0 || as_mask(a[2], &fmask) < 0
-        || as_int(a[3], &g) < 0 || as_int(a[4], &r) < 0 || as_int(a[5], &mode) < 0)
-        return NULL;
-    return PyBool_FromLong(cut_valid_c(rows, n, fmask, g, r, mode));
-}
-
-/* Read the n, g, r and mode of a cut search: n in 1..SEARCH_MAX_N; returns
- * -1 with an exception set. */
+/* Read the n, g, r and mode of a cut search, in that order: n in
+ * 1..SEARCH_MAX_N, then mode in 0..3; returns -1 with an exception set. */
 static int
 read_search(PyObject *const *a, int *n, int *g, int *r, int *mode)
 {
+    long code;
     if (read_order(a[0], n) < 0)
         return -1;
     if (*n > SEARCH_MAX_N) {
@@ -283,8 +248,16 @@ read_search(PyObject *const *a, int *n, int *g, int *r, int *mode)
                      SEARCH_MAX_N, *n);
         return -1;
     }
-    if (as_int(a[1], g) < 0 || as_int(a[2], r) < 0 || as_int(a[3], mode) < 0)
+    if (as_int(a[1], g) < 0 || as_int(a[2], r) < 0)
         return -1;
+    code = PyLong_AsLong(a[3]);
+    if (code == -1 && PyErr_Occurred())
+        return -1;
+    if (code < 0 || code > 3) {
+        PyErr_Format(PyExc_ValueError, "mode must be in 0..3, got %ld", code);
+        return -1;
+    }
+    *mode = (int)code;
     return 0;
 }
 
@@ -329,32 +302,27 @@ search(const uint64_t *rows, int n, int g, int r, int mode)
 }
 
 static PyObject *
-min_cut_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-               PyObject *kwnames)
+min_cut_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *const names[] = {"adj", "n", "g", "r", "mode", NULL};
-    PyObject *a[5];
     uint64_t rows[MAX_N];
     int n, g, r, mode;
-    if (parse_args("min_cut_search", args, nargs, kwnames, names, 5, a) < 0
-        || read_search(a + 1, &n, &g, &r, &mode) < 0 || read_rows(a[0], n, rows) < 0)
+    if (check_arity("min_cut_search", nargs, 5, 5) < 0
+        || read_search(args + 1, &n, &g, &r, &mode) < 0 || read_rows(args[0], n, rows) < 0)
         return NULL;
     return PyLong_FromLongLong(search(rows, n, g, r, mode));
 }
 
 static PyObject *
-min_cut_search_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-                    PyObject *kwnames)
+min_cut_search_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *const names[] = {"adjs", "n", "g", "r", "mode", NULL};
-    PyObject *a[5], *seq, *out, *item;
+    PyObject *seq, *out, *item;
     uint64_t rows[MAX_N];
     int n, g, r, mode;
     Py_ssize_t i, count;
-    if (parse_args("min_cut_search_many", args, nargs, kwnames, names, 5, a) < 0
-        || read_search(a + 1, &n, &g, &r, &mode) < 0)
+    if (check_arity("min_cut_search_many", nargs, 5, 5) < 0
+        || read_search(args + 1, &n, &g, &r, &mode) < 0)
         return NULL;
-    seq = PySequence_Fast(a[0], "adjs must be a sequence of adjacencies");
+    seq = PySequence_Fast(args[0], "adjs must be a sequence of adjacencies");
     if (seq == NULL)
         return NULL;
     count = PySequence_Fast_GET_SIZE(seq);
@@ -401,24 +369,22 @@ vector_to_list(const double *x, int size)
  * order, unit Euclidean norm.
  */
 static PyObject *
-power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
-                PyObject *kwnames)
+power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *const names[] = {"adj", "n", "comp_mask", "tol", "max_iter", NULL};
-    PyObject *a[5], *xs;
+    PyObject *xs;
     uint64_t rows[MAX_N], ladj[MAX_N], comp, m, row, acc_mask;
     int vs[MAX_N], local[MAX_N];
     double x[MAX_N], z[MAX_N];
     double tol, rho = 0.0, resid = 0.0, acc, d, norm, bound;
     long max_iter, it;
     int n, size = 0, v, i;
-    if (parse_args("power_iteration", args, nargs, kwnames, names, 5, a) < 0
-        || read_adj(a[0], a[1], &n, rows) < 0 || as_mask(a[2], &comp) < 0)
+    if (check_arity("power_iteration", nargs, 5, 5) < 0
+        || read_adj(args[0], args[1], &n, rows) < 0 || as_mask(args[2], &comp) < 0)
         return NULL;
-    tol = PyFloat_AsDouble(a[3]);
+    tol = PyFloat_AsDouble(args[3]);
     if (tol == -1.0 && PyErr_Occurred())
         return NULL;
-    max_iter = PyLong_AsLong(a[4]);
+    max_iter = PyLong_AsLong(args[4]);
     if (max_iter == -1 && PyErr_Occurred())
         return NULL;
     if (comp == 0 || (comp & ~full_mask(n)) != 0) {
@@ -479,25 +445,17 @@ power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"components_masks", (PyCFunction)(void (*)(void))components_masks,
-     METH_FASTCALL | METH_KEYWORDS,
-     "components_masks(adj, n, removed=0)\n--\n\n"
+    {"components_masks", (PyCFunction)(void (*)(void))components_masks, METH_FASTCALL,
+     "components_masks(adj, n, removed=0, /)\n--\n\n"
      "Component bitmasks of the graph minus `removed`, lowest vertex first."},
-    {"cut_valid", (PyCFunction)(void (*)(void))cut_valid,
-     METH_FASTCALL | METH_KEYWORDS,
-     "cut_valid(adj, n, fmask, g, r, mode)\n--\n\n"
-     "Whether deleting `fmask` is a valid cut under the given mode."},
-    {"min_cut_search", (PyCFunction)(void (*)(void))min_cut_search,
-     METH_FASTCALL | METH_KEYWORDS,
-     "min_cut_search(adj, n, g, r, mode)\n--\n\n"
+    {"min_cut_search", (PyCFunction)(void (*)(void))min_cut_search, METH_FASTCALL,
+     "min_cut_search(adj, n, g, r, mode, /)\n--\n\n"
      "First valid cut of least size in lexicographic order, or -1."},
-    {"min_cut_search_many", (PyCFunction)(void (*)(void))min_cut_search_many,
-     METH_FASTCALL | METH_KEYWORDS,
-     "min_cut_search_many(adjs, n, g, r, mode)\n--\n\n"
+    {"min_cut_search_many", (PyCFunction)(void (*)(void))min_cut_search_many, METH_FASTCALL,
+     "min_cut_search_many(adjs, n, g, r, mode, /)\n--\n\n"
      "[min_cut_search(adj, n, g, r, mode) for adj in adjs]."},
-    {"power_iteration", (PyCFunction)(void (*)(void))power_iteration,
-     METH_FASTCALL | METH_KEYWORDS,
-     "power_iteration(adj, n, comp_mask, tol, max_iter)\n--\n\n"
+    {"power_iteration", (PyCFunction)(void (*)(void))power_iteration, METH_FASTCALL,
+     "power_iteration(adj, n, comp_mask, tol, max_iter, /)\n--\n\n"
      "(rho, x, iterations, residual, converged) for one component."},
     {NULL, NULL, 0, NULL},
 };
@@ -505,7 +463,7 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernels_module = {
     PyModuleDef_HEAD_INIT,
     "specconn._kernels",
-    "Compiled bitset kernels; same contract as specconn._kernels_py.",
+    "Compiled hot loops; the same positional-only contract as specconn._kernels_py.",
     -1,
     kernel_methods,
     NULL,

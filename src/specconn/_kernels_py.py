@@ -1,8 +1,14 @@
 """Pure-Python bitset kernels (fallback for the compiled extension).
 
-Same contract as specconn._kernels: adjacency is a sequence of neighbor
-bitmasks, vertex sets are int bitmasks. Mode codes for the cut search:
-0 classic, 1 component-count, 2 good-neighbor, 3 good-neighbor+components.
+components_masks, min_cut_search, min_cut_search_many and power_iteration
+have the same positional-only contract as specconn._kernels, with the same
+results and the same ValueError messages. cut_valid exists only here: it
+is the one-set reference predicate that both backends' searches are tested
+against. Adjacency is a sequence of neighbor bitmasks, vertex sets are int
+bitmasks. Mode codes for the cut search: 0 classic, 1 component-count,
+2 good-neighbor, 3 good-neighbor+components; any other code is a
+ValueError, checked after n (and the search's order cap) and before the
+rows.
 
 The cut search does not test candidate sets one at a time. It decides every
 survivor set S = V - F at once. Bit p stands for the set S(p) of the
@@ -49,16 +55,34 @@ TABLE_BITS = 1 << 15
 _tables_cache = {}
 
 
-def _check_order(adj, n):
-    # the same input errors the C kernels raise
+def _check_order(n):
+    # the _check_* helpers raise the C kernels' input errors, in their order
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+
+
+def _check_mode(mode):
+    if mode not in (0, 1, 2, 3):
+        raise ValueError(f"mode must be in 0..3, got {mode}")
+
+
+def _check_rows(adj, n):
     if len(adj) < n:
         raise ValueError(f"adj has {len(adj)} rows, fewer than n = {n}")
 
 
-def components_masks(adj, n, removed=0):
-    _check_order(adj, n)
+def _check_search(n, mode):
+    _check_order(n)
+    if n > SEARCH_MAX_N:
+        raise ValueError(
+            f"exhaustive cut search is capped at {SEARCH_MAX_N} vertices, got n = {n}"
+        )
+    _check_mode(mode)
+
+
+def components_masks(adj, n, removed=0, /):
+    _check_order(n)
+    _check_rows(adj, n)
     full = ((1 << n) - 1) & ~removed
     comps = []
     rem = full
@@ -101,8 +125,11 @@ def _component_count_reaches(adj, surv, r):
     return count >= r
 
 
-def cut_valid(adj, n, fmask, g, r, mode):
-    _check_order(adj, n)
+def cut_valid(adj, n, fmask, g, r, mode, /):
+    """Whether deleting fmask is a valid cut in the given mode."""
+    _check_order(n)
+    _check_mode(mode)
+    _check_rows(adj, n)
     full = (1 << n) - 1
     surv = full & ~fmask
     if mode == 0:
@@ -131,37 +158,28 @@ def _disconnected(adj, surv):
     return bool(surv) and _component_count_reaches(adj, surv, 2)
 
 
-def min_cut_search(adj, n, g, r, mode):
+def min_cut_search(adj, n, g, r, mode, /):
     """First valid cut of least size in lexicographic order, or -1.
 
     The batch of one of min_cut_search_many: see the module docstring.
     """
-    _check_search_order(n)
-    _check_order(adj, n)
+    _check_search(n, mode)
+    _check_rows(adj, n)
     return _search_batch((adj,), n, g, r, mode)[0]
 
 
-def min_cut_search_many(adjs, n, g, r, mode):
+def min_cut_search_many(adjs, n, g, r, mode, /):
     """[min_cut_search(adj, n, g, r, mode) for adj in adjs], deciding up to
     _batch_width(n) graphs of order n in one set of truth tables."""
-    _check_search_order(n)
+    _check_search(n, mode)
     adjs = list(adjs)
     for adj in adjs:
-        _check_order(adj, n)
+        _check_rows(adj, n)
     width = _batch_width(n)
     out = []
     for start in range(0, len(adjs), width):
         out += _search_batch(adjs[start:start + width], n, g, r, mode)
     return out
-
-
-def _check_search_order(n):
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
-    if n > SEARCH_MAX_N:
-        raise ValueError(
-            f"exhaustive cut search is capped at {SEARCH_MAX_N} vertices, got n = {n}"
-        )
 
 
 def _block_bits(n):
@@ -355,14 +373,15 @@ def _components_reach(xs, common, gated, active, need):
     return left
 
 
-def power_iteration(adj, n, comp_mask, tol, max_iter):
+def power_iteration(adj, n, comp_mask, tol, max_iter, /):
     """Dominant adjacency eigenpair of one connected component.
 
     Shifted power iteration on A+I; returns (rho, x, iterations, residual,
     converged) with x listed over the component's vertices in ascending
     order, unit Euclidean norm.
     """
-    _check_order(adj, n)
+    _check_order(n)
+    _check_rows(adj, n)
     if not comp_mask or comp_mask >> n:
         raise ValueError("comp_mask must be a nonempty subset of the n vertices")
     vs = []

@@ -19,7 +19,7 @@ stops at the first valid one. The pure-Python kernel decides all 2^n
 survivor sets at once, one bit each of 2^n-bit integers, and takes the
 lowest set bit of the valid sets of the smallest size, which encodes the
 same cut (see specconn._kernels_py). Either way the search is exhaustive
-and capped at SEARCH_MAX_VERTICES vertices. Complete graphs have no valid
+and capped at kernels.SEARCH_MAX_N vertices. Complete graphs have no valid
 cut in NEIGHBOR/FULL mode; that is reported as None rather than an invented
 value.
 
@@ -41,8 +41,6 @@ from typing import NamedTuple, Sequence
 
 from . import kernels
 from .graphs import Graph, is_connected
-
-SEARCH_MAX_VERTICES = kernels.SEARCH_MAX_N
 
 
 class CutMode(IntEnum):
@@ -110,7 +108,7 @@ def min_cut(g: Graph, query: CutQuery) -> MinCut | None:
     """Minimum-size valid cut with its certificate; None if no set qualifies.
 
     Exhaustive search; the certificate is the lexicographically least
-    minimizer. The kernel raises ValueError past SEARCH_MAX_VERTICES.
+    minimizer. The kernel raises ValueError past kernels.SEARCH_MAX_N.
     """
     _require_connected(g)
     fmask = kernels.min_cut_search(g.adj, g.n, query.g, query.r, int(query.mode))

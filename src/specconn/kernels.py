@@ -1,10 +1,16 @@
 """Kernel backend selection.
 
-The hot loops (flood fill, exhaustive cut search, power iteration) exist
+The hot loops (flood fill, the two cut searches, power iteration) exist
 twice: a hand-written C extension (specconn._kernels, built from
-_kernels.c by setup.py) and a pure-Python fallback (specconn._kernels_py)
-with identical signatures and results. The compiled version is used when
+_kernels.c by setup.py) and a pure-Python fallback (specconn._kernels_py),
+both positional-only, with identical results and the same ValueError for
+bad input (an order outside 1..64, a cut search past SEARCH_MAX_N, a cut
+mode code outside 0..3, too few rows). The compiled version is used when
 importable; set SPECCONN_PURE=1 to force the fallback.
+
+cut_valid, whether one set is a valid cut, exists once, in _kernels_py, on
+both backends: it is the reference predicate that both cut searches are
+tested against, and connectivity.is_valid_cut's only kernel.
 
 The two cut searches reach the same certificate by different routes. The C
 kernel tests candidate cuts one at a time, by size and lexicographically
@@ -21,18 +27,20 @@ tables, a block of bits per graph, which saves most of its per-call cost.
 
 import os
 
+from . import _kernels_py
+
 if os.environ.get("SPECCONN_PURE"):
-    from . import _kernels_py as _impl
+    _impl = _kernels_py
 else:
     try:
         from . import _kernels as _impl  # type: ignore[attr-defined]
     except ImportError:
-        from . import _kernels_py as _impl
+        _impl = _kernels_py
 
 BACKEND: str = _impl.BACKEND
 SEARCH_MAX_N: int = _impl.SEARCH_MAX_N
 components_masks = _impl.components_masks
-cut_valid = _impl.cut_valid
+cut_valid = _kernels_py.cut_valid
 min_cut_search = _impl.min_cut_search
 min_cut_search_many = _impl.min_cut_search_many
 power_iteration = _impl.power_iteration

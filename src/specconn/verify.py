@@ -14,12 +14,14 @@ SCAN_CHUNK graphs and finds every graph's k with one call of
 connectivity.min_cut_values per chunk (the pure kernel decides 2^15 >> n
 graphs per set of truth tables). With one job the chunks are scanned in
 turn as they are read, so the source is never held whole; with more, a
-process pool scans them and returns only the cut sizes. Either way the
-parent pairs each chunk with its sizes in input order and keeps the member
-graphs themselves, grouped per (delta, k) cell, so a member's position in
-its cell is its input order. Canonical forms are computed per cell, for the
-graphs tied at exactly the best rho and for the isomorphism check, and
-graph6 only for the graphs a report names.
+process pool scans them and returns only the cut sizes, with at most
+2 * jobs chunks submitted and not yet returned. Either way the parent
+pairs each chunk with its sizes in input order and keeps the member graphs
+themselves, grouped per (delta, k) cell, so a member's position in its cell
+is its input order. Only the cells a run reports are ranked. Canonical
+forms are computed per cell, for the graphs tied at exactly the best rho
+and for the isomorphism check, and graph6 only for the graphs a report
+names.
 
 A report needs only each cell's best rho, the members tied at it, and the
 second-best rho, so rho is solved only for members that could still be one
@@ -38,7 +40,7 @@ import csv
 import json
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -186,30 +188,30 @@ def run_verification(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == NEIGHBOR_MODE and r != 2:
         raise ValueError(f"neighbor mode is the r = 2 specialization; got r = {r}")
+    for delta, k in cells or ():
+        spec = ClassSpec(n, delta, g, r, k)
+        if not spec.in_hypothesis() and not allow_out_of_hypothesis:
+            raise ValueError(
+                f"class {spec} is outside the hypothesis n >= k + r(g+1); "
+                "pass allow_out_of_hypothesis to report it anyway"
+            )
     graphs = _of_order(source if source is not None else connected_census(n), n)
     held: deque[list[Graph]] = deque()
     chunks = _chunks(graphs, held)
     query = _membership_query(g, r, mode)
     members: dict[tuple[int, int], list[Graph]] = {}
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        for values in (pool.map if pool else map)(min_cut_values, chunks, repeat(query)):
+        if pool:
+            sizes = _in_window(pool, chunks, query, 2 * jobs)
+        else:
+            sizes = map(min_cut_values, chunks, repeat(query))
+        for values in sizes:
             for h, k in zip(held.popleft(), values):
                 if k is not None:
                     members.setdefault((degree_profile(h).min_degree, k), []).append(h)
-    buckets = {cell: _cell_best(n, group) for cell, group in members.items()}
 
-    if cells is None:
-        wanted = sorted(buckets)
-    else:
-        wanted = list(cells)
-        for delta, k in wanted:
-            spec = ClassSpec(n, delta, g, r, k)
-            if not spec.in_hypothesis() and not allow_out_of_hypothesis:
-                raise ValueError(
-                    f"class {spec} is outside the hypothesis n >= k + r(g+1); "
-                    "pass allow_out_of_hypothesis to report it anyway"
-                )
-
+    wanted = sorted(members) if cells is None else [(delta, k) for delta, k in cells]
+    buckets = {cell: _cell_best(n, members[cell]) for cell in wanted if cell in members}
     return [
         _cell_report(ClassSpec(n, delta, g, r, k), mode, buckets.get((delta, k)))
         for delta, k in wanted
@@ -229,6 +231,26 @@ def _chunks(graphs: Iterator[Graph], held: deque[list[Graph]]) -> Iterator[list[
     while chunk := list(islice(graphs, SCAN_CHUNK)):
         held.append(chunk)
         yield chunk
+
+
+def _in_window(
+    pool: ProcessPoolExecutor, chunks: Iterator[list[Graph]], query: CutQuery, window: int
+) -> Iterator[list[int | None]]:
+    """pool.map(min_cut_values, chunks, repeat(query)), but with at most
+    `window` chunks submitted and not yet returned, so that the source is
+    read only as fast as the pool works through it. As with map, an error
+    cancels the chunks not yet started."""
+    pending: deque[Future] = deque()
+    try:
+        for chunk in chunks:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(min_cut_values, chunk, query))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _cell_best(n: int, group: list[Graph]) -> _CellBest:

@@ -4,7 +4,8 @@
 conftest). The pure-Python module is the oracle, except for
 `min_cut_search` and `min_cut_search_many`: both backends' searches are
 checked against `conftest._brute_min_cut`, which tests every candidate set
-in order with the pure `cut_valid`.
+in order with the pure `cut_valid`, the one reference predicate (the C
+extension does not export one).
 """
 
 import random
@@ -14,7 +15,6 @@ import pytest
 from specconn import _kernels_py
 from specconn import kernels
 from specconn.census import connected_census
-from specconn.connectivity import SEARCH_MAX_VERTICES
 from specconn.graphs import complete_graph, path_graph
 from specconn.spectral import iteration_cap
 from conftest import _brute_min_cut, random_graph
@@ -29,20 +29,36 @@ def test_backend_is_reported(compiled):
 
 
 def test_keyword_arguments(compiled):
+    # every kernel is positional-only: keyword calls raise TypeError on both
+    # backends, and so do calls with too few or too many arguments
     adj = (0b110, 0b101, 0b011, 0b10000, 0b01000)
-    assert compiled.components_masks(adj, removed=0b001, n=5) == \
-        _kernels_py.components_masks(adj, 5, 0b001) == [0b110, 0b11000]
-    assert compiled.components_masks(adj, 5) == [0b111, 0b11000]
-    assert compiled.min_cut_search(adj, 5, mode=0, r=2, g=0) == 0
-    assert compiled.min_cut_search_many(n=5, adjs=[adj, adj], g=0, r=2, mode=0) == [0, 0]
+    for module in (compiled, _kernels_py):
+        assert module.components_masks(adj, 5, 0b001) == [0b110, 0b11000]
+        assert module.components_masks(adj, 5) == [0b111, 0b11000]
+        assert module.min_cut_search(adj, 5, 0, 2, 0) == 0
+        assert module.min_cut_search_many([adj, adj], 5, 0, 2, 0) == [0, 0]
+        rho, x, _, _, ok = module.power_iteration(adj, 5, 0b111, 1e-12, 100)
+        assert ok and rho == pytest.approx(2.0) and len(x) == 3
+        for call in (
+            lambda: module.components_masks(adj, 5, removed=0b001),
+            lambda: module.components_masks(adj, n=5),
+            lambda: module.min_cut_search(adj, 5, 0, 2, mode=0),
+            lambda: module.min_cut_search_many(adjs=[adj], n=5, g=0, r=2, mode=0),
+            lambda: module.power_iteration(adj, 5, 0b111, 1e-12, max_iter=100),
+            # wrong arity
+            lambda: module.components_masks(adj),
+            lambda: module.components_masks(adj, 5, 0, 0),
+            lambda: module.min_cut_search(adj, 5, 0, 2),
+            lambda: module.min_cut_search_many([adj], 5, 0, 2, 0, 0),
+            lambda: module.power_iteration(adj, 5, 0b111, 1e-12),
+        ):
+            with pytest.raises(TypeError):
+                call()
+    assert not hasattr(compiled, "cut_valid")
+    assert kernels.cut_valid is _kernels_py.cut_valid
+    assert _kernels_py.cut_valid(adj, 5, 0, 0, 2, 0)
     with pytest.raises(TypeError):
-        compiled.cut_valid(adj, 5, 0, 0, 2, 0, mode=0)
-    with pytest.raises(TypeError):
-        compiled.components_masks(adj, 5, bogus=0)
-    with pytest.raises(TypeError):
-        compiled.min_cut_search(adj, 5, 0, 2)
-    with pytest.raises(TypeError):
-        compiled.min_cut_search_many([adj], 5, 0, 2, 0, adj=adj)
+        _kernels_py.cut_valid(adj, 5, 0, 0, 2, mode=0)
 
 
 def test_components_parity(compiled, rng):
@@ -60,33 +76,6 @@ def test_components_parity_order_64(compiled, rng):
             out = compiled.components_masks(g.adj, 64, removed)
             assert out == _kernels_py.components_masks(g.adj, 64, removed)
             assert any(comp & TOP_BIT for comp in out) == (not removed & TOP_BIT)
-
-
-def test_cut_validity_parity(compiled, rng):
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(2, 10), rng.random())
-        fmask = rng.randrange(1 << g.n)
-        for mode in range(4):
-            gg = rng.randint(0, 3)
-            r = rng.randint(2, 4)
-            assert compiled.cut_valid(g.adj, g.n, fmask, gg, r, mode) == \
-                _kernels_py.cut_valid(g.adj, g.n, fmask, gg, r, mode), \
-                (g, fmask, gg, r, mode)
-
-
-def test_cut_validity_parity_order_64(compiled, rng):
-    for _ in range(40):
-        g = random_graph(rng, 64, rng.choice([0.03, 0.06, 0.1, 0.3]))
-        # deleting everything but a few vertices, vertex 63 among them or not
-        keep = rng.sample(range(64), rng.randint(1, 12))
-        fmask = ((1 << 64) - 1) & ~sum(1 << v for v in keep)
-        for fm in (fmask, fmask ^ TOP_BIT, rng.randrange(1 << 64)):
-            for mode in range(4):
-                gg = rng.randint(0, 2)
-                r = rng.randint(2, 4)
-                assert compiled.cut_valid(g.adj, 64, fm, gg, r, mode) == \
-                    _kernels_py.cut_valid(g.adj, 64, fm, gg, r, mode), \
-                    (g, fm, gg, r, mode)
 
 
 def test_min_cut_parity(compiled, rng):
@@ -217,8 +206,8 @@ def test_min_cut_matches_brute_force_past_order_8(compiled, rng):
 
 
 def test_min_cut_order_cap(compiled):
-    assert compiled.SEARCH_MAX_N == _kernels_py.SEARCH_MAX_N == SEARCH_MAX_VERTICES
-    n = SEARCH_MAX_VERTICES + 1
+    assert compiled.SEARCH_MAX_N == _kernels_py.SEARCH_MAX_N == kernels.SEARCH_MAX_N
+    n = kernels.SEARCH_MAX_N + 1
     messages = set()
     for module in (compiled, _kernels_py):
         with pytest.raises(ValueError) as exc:
@@ -280,15 +269,43 @@ def test_power_iteration_parity_order_64(compiled, rng):
     ],
 )
 def test_bad_order_raises(compiled, name, rest):
-    # the cut search also stops at SEARCH_MAX_VERTICES = 20
+    # the cut search also stops at kernels.SEARCH_MAX_N = 20; cut_valid is
+    # the pure reference predicate only
     bad = (-1, 0, 65) + ((21,) if name == "min_cut_search" else ())
-    for module in (compiled, _kernels_py):
+    for module in (_kernels_py,) if name == "cut_valid" else (compiled, _kernels_py):
         fn = getattr(module, name)
         for n in bad:
             with pytest.raises(ValueError):
                 fn([0] * 66, n, *rest)
         with pytest.raises(ValueError):
             fn([0] * 3, 4, *rest)
+
+
+@pytest.mark.parametrize("name", ["cut_valid", "min_cut_search", "min_cut_search_many"])
+def test_bad_mode_raises(compiled, name):
+    # a mode code outside 0..3 is checked after n and the search's order
+    # cap and before the rows, with the same message on both backends
+    def call(module, n, mode, rows):
+        adj = [0] * rows
+        if name == "cut_valid":
+            return module.cut_valid(adj, n, 0b1, 1, 2, mode)
+        if name == "min_cut_search":
+            return module.min_cut_search(adj, n, 1, 2, mode)
+        return module.min_cut_search_many([adj], n, 1, 2, mode)
+
+    cases = [(5, mode, 5, f"mode must be in 0..3, got {mode}") for mode in (-1, 4, 5)]
+    cases += [(5, 5, 3, "mode must be in 0..3, got 5"),
+              (0, 5, 5, "n must be in 1..64, got 0"),
+              (65, 4, 66, "n must be in 1..64, got 65")]
+    if name != "cut_valid":
+        cases.append((21, -1, 21, "exhaustive cut search is capped at 20 vertices, got n = 21"))
+    for module in (_kernels_py,) if name == "cut_valid" else (compiled, _kernels_py):
+        for n, mode, rows, message in cases:
+            with pytest.raises(ValueError) as exc:
+                call(module, n, mode, rows)
+            assert str(exc.value) == message, (module.BACKEND, n, mode, rows)
+        for mode in range(4):
+            call(module, 5, mode, 5)
 
 
 def test_power_iteration_rejects_vertices_outside_the_graph(compiled):

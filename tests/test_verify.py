@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from specconn import verify
+from specconn import _kernels_py, census, kernels, verify
 from specconn.census import CONNECTED_COUNTS, connected_census, ingest_graph6
 from specconn.connectivity import CutMode, CutQuery, min_cut
 from specconn.families import Family
@@ -323,3 +324,81 @@ def test_isomorphic_top_tie_goes_to_first_in_input_order():
         assert tied.population == cell.population + 1
         assert tied.best_rho == tied.second_best_rho == cell.best_rho
         assert tied.best_graph6 == first
+
+
+def test_usage_error_comes_before_the_scan(monkeypatch):
+    scanned = []
+
+    def spy(chunk, query):
+        scanned.append(len(chunk))
+        return real(chunk, query)
+
+    real = verify.min_cut_values
+    monkeypatch.setattr(verify, "min_cut_values", spy)
+    with pytest.raises(ValueError, match="outside the hypothesis"):
+        run_verification(8, 1, 2, cells=[(1, 7)])
+    assert scanned == []
+
+
+def test_only_reported_cells_are_ranked(monkeypatch):
+    # cell (3, 3) alone: 132 pruned rho solves of its 727 members plus one
+    # for its claimed family graph, against 598 when all 16 cells were
+    # ranked for one report (613 for all 16 reports)
+    calls = []
+
+    def spy(g, *args, **kwargs):
+        calls.append(g)
+        return spectral_radius(g, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "spectral_radius", spy)
+    (rep,) = run_verification(8, 1, 2, cells=[(3, 3)])
+    assert rep.confirmed
+    assert rep.population == 727
+    assert len(calls) == 133
+
+
+def test_pool_holds_a_bounded_window_of_chunks(monkeypatch):
+    # with two jobs at most 2 * 2 chunks are in the pool, so `held` has at
+    # most that window plus the chunk just read when a result is paired
+    monkeypatch.setattr(verify, "SCAN_CHUNK", 16)
+    source = connected_census(7) * 3
+    held_sizes = []
+    real = verify._chunks
+
+    def spy(graphs, held):
+        for chunk in real(graphs, held):
+            held_sizes.append(len(held))
+            yield chunk
+
+    monkeypatch.setattr(verify, "_chunks", spy)
+    multi = reports_to_json(run_verification(7, 1, 2, source=source, jobs=2))
+    assert len(held_sizes) == -(-len(source) // 16)
+    assert max(held_sizes) == 2 * 2 + 1
+    assert multi == reports_to_json(run_verification(7, 1, 2, source=source, jobs=1))
+
+
+# every kernel the pipeline calls, through specconn.kernels
+PIPELINE_KERNELS = ("components_masks", "min_cut_search", "min_cut_search_many",
+                    "power_iteration")
+
+
+def test_reports_match_on_both_backends(monkeypatch, compiled):
+    # the whole pipeline, census generation included, on each backend in turn
+    runs = []
+    for module in (compiled, _kernels_py):
+        for name in PIPELINE_KERNELS:
+            monkeypatch.setattr(kernels, name, getattr(module, name))
+        monkeypatch.setattr(census, "_census_cache", {})
+        digests = [
+            hashlib.sha256("\n".join(graph6_encode(h) for h in connected_census(n)).encode())
+            .hexdigest()
+            for n in range(5, 8)
+        ]
+        reports = [
+            reports_to_json(run_verification(n, g, r, mode=mode))
+            for n in range(5, 8)
+            for g in range(3)
+            for mode, r in (("component", 2), ("component", 3), ("neighbor", 2))
+        ]
+        runs.append((digests, reports))
+    assert runs[0] == runs[1]
