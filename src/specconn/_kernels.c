@@ -86,6 +86,27 @@ as_int(PyObject *obj, int *out)
     return 0;
 }
 
+/* Convert a cut search's g or r to a C int, clamped to SEARCH_MAX_N + 1;
+ * returns -1 with an exception set. On n <= SEARCH_MAX_N vertices no
+ * survivor keeps that many neighbours and no cut leaves that many
+ * components, so every larger value gives the same cut. */
+static int
+as_threshold(PyObject *obj, int *out)
+{
+    int overflow;
+    long value = PyLong_AsLongAndOverflow(obj, &overflow);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow > 0 || value > SEARCH_MAX_N + 1)
+        value = SEARCH_MAX_N + 1;
+    else if (overflow < 0 || value < INT_MIN) {
+        PyErr_SetString(PyExc_OverflowError, "Python int too large to convert to C int");
+        return -1;
+    }
+    *out = (int)value;
+    return 0;
+}
+
 /* Convert a Python int to a bitmask; returns -1 with an exception set. */
 static int
 as_mask(PyObject *obj, uint64_t *out)
@@ -235,7 +256,8 @@ components_masks(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* Read the n, g, r and mode of a cut search, in that order: n in
- * 1..SEARCH_MAX_N, then mode in 0..3; returns -1 with an exception set. */
+ * 1..SEARCH_MAX_N, g and r clamped by as_threshold, then mode in 0..3;
+ * returns -1 with an exception set. */
 static int
 read_search(PyObject *const *a, int *n, int *g, int *r, int *mode)
 {
@@ -248,7 +270,7 @@ read_search(PyObject *const *a, int *n, int *g, int *r, int *mode)
                      SEARCH_MAX_N, *n);
         return -1;
     }
-    if (as_int(a[1], g) < 0 || as_int(a[2], r) < 0)
+    if (as_threshold(a[1], g) < 0 || as_threshold(a[2], r) < 0)
         return -1;
     code = PyLong_AsLong(a[3]);
     if (code == -1 && PyErr_Occurred())

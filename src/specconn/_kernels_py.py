@@ -195,6 +195,10 @@ def _batch_width(n):
 
 def _search_batch(adjs, n, g, r, mode):
     """The cuts of one batch: see the module docstring."""
+    # clamped as in the C kernel: on n <= SEARCH_MAX_N vertices no survivor
+    # keeps SEARCH_MAX_N + 1 neighbours and no cut leaves that many
+    # components, so a larger g or r gives the same cut
+    g, r = min(g, SEARCH_MAX_N + 1), min(r, SEARCH_MAX_N + 1)
     lo = 0 if mode in (0, 1) else 1
     hi = n + 1 if mode == 1 else n
     need = 2 if mode in (0, 2) else r

@@ -24,7 +24,26 @@ invariant. It accepts G without one when every other candidate is a twin of
 v (equal neighbourhoods apart from each other): swapping twins is an
 automorphism, so all candidates then share v's orbit. Otherwise one search
 gives both the canonical order and the generators the orbit is read from.
-Only vertices tied with v on the degree get the rest of the invariant.
+
+The degree step is decided on the parent, before G is built. A vertex u of
+P has degree deg_P(u) + [u in S] in G = P + S, and is a non-cut vertex of G
+iff S meets every component of P - u (`split`). The vertices are visited by
+descending degree, so that one beating v is met first, up to the first
+whose degree in G cannot reach |S|, and only the children that none beats
+are built. Their invariant is then compared in
+stages: the sums of the neighbours' degrees among the vertices tied with v
+on degree, and the triangles only among those still tied.
+
+Most subsets are never tried: the degree floor. A non-cut vertex u of P is
+a non-cut vertex of P + S whenever S is not within {u}, since S then meets
+P - u, which is connected; its degree there is at least deg_P(u). So if D
+is the largest degree of a non-cut vertex of P, every S with
+2 <= |S| < D loses to such a vertex, and only |S| >= max(2, D) is tried.
+For S = {w}, every non-cut vertex of P other than w stays non-cut, so when
+two non-cut vertices of P have degree >= 2 one of them beats v, whatever
+w is; singletons are tried only when at most one has. Orbits preserve |S|,
+so a skipped subset takes its whole orbit with it, and the tried subsets
+keep their order.
 
 Each isomorphism class of connected graphs of order n is kept exactly once:
 
@@ -106,15 +125,14 @@ def connected_census(n: int) -> list[Graph]:
             if generators is None:
                 generators = []
                 _canonical_adj(parent, generators)
-            split = [components(parent, 1 << u) for u in range(order - 1)]
-            for smask in _orbit_minima(generators, order - 1):
+            for smask, tied in _degree_survivors(parent, generators):
                 rows = [
                     row | new_bit if smask >> v & 1 else row
                     for v, row in enumerate(parent.adj)
                 ]
                 rows.append(smask)
                 child = _trusted(order, tuple(rows))
-                keep, child_generators = _is_canonical_augmentation(child, split)
+                keep, child_generators = _is_canonical_augmentation(child, tied)
                 if keep:
                     level.append(child)
                     # the level asked for is no parent, so it keeps none
@@ -125,28 +143,78 @@ def connected_census(n: int) -> list[Graph]:
     return parents
 
 
+def _degree_survivors(
+    parent: Graph, generators: list[tuple[int, ...]]
+) -> list[tuple[int, list[int]]]:
+    """(S, tied) for each orbit-least S, ascending, whose child P + S has no
+    non-cut vertex of larger degree than the new vertex v; tied lists v and
+    then the non-cut vertices of equal degree.
+
+    Decided on the parent: a vertex u of the child has degree
+    deg_P(u) + [u in S], and is a non-cut vertex iff S meets every
+    component of P - u. Sizes below the floor are never tried.
+    """
+    m = parent.n
+    degree = [row.bit_count() for row in parent.adj]
+    split = [components(parent, 1 << u) for u in range(m)]
+    # non-cut vertices of P: P - u is connected (or empty)
+    noncut = [d for d, parts in zip(degree, split) if len(parts) <= 1]
+    sizes = -1 << max(2, max(noncut))
+    if sum(d >= 2 for d in noncut) <= 1:
+        sizes |= 2
+    # descending degree, so that a vertex beating v is met first
+    ranked = sorted(
+        ((degree[u], 1 << u, split[u], u) for u in range(m)), reverse=True
+    )
+    survivors = []
+    for smask in _orbit_minima(generators, m, sizes):
+        tied = _degree_ties(smask, ranked, m)
+        if tied is not None:
+            survivors.append((smask, tied))
+    return survivors
+
+
+def _degree_ties(
+    smask: int, ranked: list[tuple[int, int, list[int], int]], v: int
+) -> list[int] | None:
+    """v and the non-cut vertices of P + S tied with it on degree, or None
+    when one beats it; ranked is (deg_P(u), 1 << u, split[u], u) by
+    descending degree."""
+    top = smask.bit_count()
+    tied = [v]
+    for degree, bit, parts, u in ranked:
+        if degree + 1 < top:
+            break
+        if smask & bit:
+            degree += 1
+        if degree < top:
+            continue
+        for part in parts:
+            if not smask & part:
+                break
+        else:
+            if degree > top:
+                return None
+            tied.append(u)
+    return tied
+
+
 def _is_canonical_augmentation(
-    child: Graph, split: list[list[int]]
+    child: Graph, tied: list[int]
 ) -> tuple[bool, list[tuple[int, ...]] | None]:
     """Whether the last vertex v lies in the canonical deletion orbit, and
     the generators of Aut(child) when the test ran a search (else None).
 
-    split[u] lists the components of child - v - u, so u is a non-cut vertex
-    of child iff v's neighbourhood meets each of them.
+    tied lists v and then the non-cut vertices of equal degree, none of
+    larger degree (`_degree_survivors`). The rest of the invariant is
+    compared in stages, the triangles only among vertices still tied.
     """
     adj = child.adj
     v = child.n - 1
-    smask = adj[v]
-    top = smask.bit_count()
-    tied = [v]
-    for u in range(v):
-        degree = adj[u].bit_count()
-        if degree >= top and all(smask & part for part in split[u]):
-            if degree > top:
-                return False, None
-            tied.append(u)
-    if len(tied) > 1:
-        key = [_fine_invariant(adj, u) for u in tied]
+    for stage in (_neighbour_degrees, _triangles):
+        if len(tied) == 1:
+            break
+        key = [stage(adj, u) for u in tied]
         if key[0] < max(key):
             return False, None
         tied = [u for u, k in zip(tied, key) if k == key[0]]
@@ -166,31 +234,39 @@ def _is_canonical_augmentation(
     return v in orbit, generators
 
 
-def _fine_invariant(adj: tuple[int, ...], u: int) -> tuple[int, int]:
-    """Sum of the degrees of u's neighbours, and twice the triangles at u."""
+def _neighbour_degrees(adj: tuple[int, ...], u: int) -> int:
+    """Sum of the degrees of u's neighbours: the walks of length 2 from u,
+    counted by their last vertex."""
     row = adj[u]
-    nbrs = vertices_of(row)
-    return (
-        sum(adj[w].bit_count() for w in nbrs),
-        sum((row & adj[w]).bit_count() for w in nbrs),
-    )
+    return sum([(row & other).bit_count() for other in adj])
 
 
-def _orbit_minima(generators: list[tuple[int, ...]], m: int) -> list[int]:
+def _triangles(adj: tuple[int, ...], u: int) -> int:
+    """Twice the triangles at u."""
+    row = adj[u]
+    return sum((row & adj[w]).bit_count() for w in vertices_of(row))
+
+
+def _orbit_minima(
+    generators: list[tuple[int, ...]], m: int, sizes: int = -1
+) -> list[int]:
     """Least subset of each orbit of nonempty subsets of range(m), ascending,
-    under the permutation group the generators span."""
+    under the permutation group the generators span. Only sizes s with bit
+    s of `sizes` set are kept; orbits preserve size, so the rest is a
+    subsequence of the unfiltered list."""
     size = 1 << m
     images = []
     for perm in generators:
-        image = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        # image[mask] for the masks below 2^(i+1), from those below 2^i
+        image = [0]
+        for i in range(m):
+            bit = 1 << perm[i]
+            image += [mask | bit for mask in image]
         images.append(image)
     seen = bytearray(size)
     minima = []
     for smask in range(1, size):
-        if seen[smask]:
+        if seen[smask] or not sizes >> smask.bit_count() & 1:
             continue
         minima.append(smask)
         seen[smask] = 1

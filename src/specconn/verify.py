@@ -32,7 +32,14 @@ the first whose bound plus a slack of 1e-9*max(1, bound) falls below the
 second-best rho solved so far: the solver's Rayleigh quotient never exceeds
 the true rho by more than rounding, which the slack covers, so that member
 and every later one has a computed rho below the second best and can change
-neither the best, its ties, nor the second best. Ties keep their input
+neither the best, its ties, nor the second best. Before a member is solved,
+a second bound is checked: rho is at most the largest, over the vertices v,
+of the sum of the degrees of v's neighbours divided by d_v, for a graph with
+no isolated vertex (O. Favaron, M. Maheo and J.-F. Sacle, Discrete Math.
+111, 1993). A member whose bound, with the same slack, is below the second
+best is skipped, and the walk goes on: the second best only rises, so the
+skipped member could change none of the three. The one-vertex graph has an
+isolated vertex, so it keeps Hong's bound alone. Ties keep their input
 position, so among equal canonical forms the first in input order wins.
 """
 
@@ -49,7 +56,7 @@ from typing import Iterable, Iterator
 from .census import connected_census
 from .connectivity import CutMode, CutQuery, min_cut, min_cut_values
 from .families import InfeasibleFamilyError, claimed_extremal, construct
-from .graphs import Graph, canonical_form, degree_profile, graph6_encode
+from .graphs import Graph, canonical_form, degree_profile, graph6_encode, vertices_of
 from .spectral import spectral_radius
 
 RHO_TOL = 1e-8
@@ -255,17 +262,37 @@ def _in_window(
 
 def _cell_best(n: int, group: list[Graph]) -> _CellBest:
     """Best, ties and second best of one cell's members (in input order),
-    solving rho only while the Hong bound can still reach the second best."""
+    solving rho only while the Hong bound can still reach the second best,
+    and only for members whose neighbour-degree bound can."""
     cell = _CellBest(population=len(group))
     edges = [h.edge_count() for h in group]
     # descending m is descending bound: every member has order n
     for position in sorted(range(len(group)), key=edges.__getitem__, reverse=True):
         bound = math.sqrt(2 * edges[position] - n + 1)
         second = cell.second_rho()
-        if second is not None and bound + 1e-9 * max(1.0, bound) < second:
+        if second is not None and _below(bound, second):
             break
-        cell.add(spectral_radius(group[position]).rho, position, group[position])
+        member = group[position]
+        # the one-vertex graph has an isolated vertex, so only Hong's bound
+        if second is not None and n > 1 and _below(_neighbour_degree_bound(member), second):
+            continue
+        cell.add(spectral_radius(member).rho, position, member)
     return cell
+
+
+def _below(bound: float, second: float) -> bool:
+    """Whether a rho bound, with the solver's slack, is below the second best."""
+    return bound + 1e-9 * max(1.0, bound) < second
+
+
+def _neighbour_degree_bound(h: Graph) -> float:
+    """max over v of (sum of the degrees of v's neighbours) / d_v, an upper
+    bound on rho for a graph with no isolated vertex."""
+    degrees = [row.bit_count() for row in h.adj]
+    return max(
+        sum(map(degrees.__getitem__, vertices_of(row))) / degree
+        for row, degree in zip(h.adj, degrees)
+    )
 
 
 def _cell_report(spec: ClassSpec, mode: str, cell: _CellBest | None) -> VerificationReport:

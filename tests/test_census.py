@@ -13,6 +13,7 @@ from specconn.census import (
 from specconn.graphs import (
     Graph,
     canonical_form,
+    components,
     graph6_encode,
     is_connected,
     vertices_of,
@@ -144,16 +145,19 @@ def test_census_canonical_forms_pinned(n):
 
 
 def test_generation_tries_one_subset_per_orbit(monkeypatch):
-    # each level tries one child per subset orbit of each parent (the
-    # Burnside count: 3,771 at level 7, not 112 * 63). A child is searched
-    # at most once, and only when the invariant leaves it tied with a
+    # each level considers one child per subset orbit of each parent (the
+    # Burnside count: 3,771 at level 7, not 112 * 63), but builds only the
+    # children that no non-cut vertex beats on degree: the degree floor
+    # skips the smaller orbits and the parent-side degree test most of the
+    # rest, so 1,157 and 16,444 children are built. A child is searched at
+    # most once, and only when the invariant leaves it tied with a
     # non-twin for deletion. A kept child's search also gives its
     # generators as a parent when its level is generated for the next one,
     # so no graph is searched twice. Every search is counted, through
     # graphs.canonical_form too
     monkeypatch.setattr(census, "_census_cache", {})
     connected_census(6)  # before the spies: a level-6 child is a level-7 parent
-    tried = Counter()
+    built = Counter()
     searched = Counter()
     child_searches = Counter()
     parent_searches = Counter()
@@ -161,12 +165,12 @@ def test_generation_tries_one_subset_per_orbit(monkeypatch):
     real_test = census._is_canonical_augmentation
     real_search = graphs._canonical_adj
 
-    def judge(child, split):
+    def judge(child, tied):
         nonlocal judging
-        tried[child.n] += 1
+        built[child.n] += 1
         judging = True
         try:
-            return real_test(child, split)
+            return real_test(child, tied)
         finally:
             judging = False
 
@@ -181,7 +185,7 @@ def test_generation_tries_one_subset_per_orbit(monkeypatch):
     # level 7 is generated here as the parents of level 8
     assert len(connected_census(8)) == CONNECTED_COUNTS[8]
     assert set(searched.values()) == {1}
-    assert tried == {7: 3771, 8: 67141}
+    assert built == {7: 1157, 8: 16444}
     assert child_searches == {7: 157, 8: 1873}
     # level 6 was generated on its own, so all 112 of its members are
     # searched as parents; 136 of level 7's 853 reuse their child search
@@ -190,6 +194,68 @@ def test_generation_tries_one_subset_per_orbit(monkeypatch):
     for n in (7, 8):
         lines = "\n".join(graph6_encode(g) for g in connected_census(n))
         assert hashlib.sha256(lines.encode()).hexdigest() == CENSUS_SHA256[n]
+    # without the floor, the orbit minima are the Burnside counts
+    considered = Counter()
+    for m in (6, 7):
+        for parent in connected_census(m):
+            generators: list = []
+            real_search(parent, generators)
+            considered[m + 1] += len(census._orbit_minima(generators, m))
+    assert considered == {7: 3771, 8: 67141}
+
+
+def _reference_keeps(child: Graph) -> bool:
+    """Whether the last vertex v of child lies in the canonical deletion
+    orbit, by the definition alone: the non-cut vertices largest on
+    (degree, sum of the neighbours' degrees, twice the triangles), the one
+    at the least canonical position, and its orbit, from one full search."""
+    adj = child.adj
+    v = child.n - 1
+
+    def invariant(u):
+        nbrs = vertices_of(adj[u])
+        return (
+            len(nbrs),
+            sum(adj[w].bit_count() for w in nbrs),
+            sum((adj[u] & adj[w]).bit_count() for w in nbrs),
+        )
+
+    noncut = [u for u in range(child.n) if len(components(child, 1 << u)) <= 1]
+    keys = {u: invariant(u) for u in noncut}
+    best = max(keys.values())
+    generators: list = []
+    _, order = graphs._canonical_adj(child, generators)
+    first = next(u for u in order if keys.get(u) == best)
+    orbit = {first}
+    stack = [first]
+    while stack:
+        u = stack.pop()
+        for perm in generators:
+            if perm[u] not in orbit:
+                orbit.add(perm[u])
+                stack.append(perm[u])
+    return v in orbit
+
+
+def test_kept_children_match_the_definition():
+    # every orbit-least subset of every parent of order <= 6 is judged by
+    # the definition alone, with no degree floor, no parent-side test and
+    # no twin shortcut: the census keeps exactly those children, in order
+    for m in range(1, 7):
+        expected = []
+        new_bit = 1 << m
+        for parent in connected_census(m):
+            generators: list = []
+            graphs._canonical_adj(parent, generators)
+            for smask in census._orbit_minima(generators, m):
+                rows = [
+                    row | new_bit if smask >> u & 1 else row
+                    for u, row in enumerate(parent.adj)
+                ]
+                child = Graph(m + 1, (*rows, smask))
+                if _reference_keeps(child):
+                    expected.append(child)
+        assert connected_census(m + 1) == expected
 
 
 def test_ingest_round_trip(tmp_path):

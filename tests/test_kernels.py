@@ -15,6 +15,7 @@ import pytest
 from specconn import _kernels_py
 from specconn import kernels
 from specconn.census import connected_census
+from specconn.connectivity import CutMode, CutQuery, min_cut
 from specconn.graphs import complete_graph, path_graph
 from specconn.spectral import iteration_cap
 from conftest import _brute_min_cut, random_graph
@@ -228,6 +229,33 @@ def test_min_cut_cap_with_threshold_past_int_range(compiled):
                 _kernels_py.min_cut_search(adj, 5, g, r, mode) == -1
     # modes 0 and 1 ignore g, so the cap never applies there
     assert compiled.min_cut_search(adj, 5, int_max, 2, 0) == 0
+
+
+def test_thresholds_past_c_int_range_give_one_answer(compiled, monkeypatch):
+    # g or r of 2^31 or more no longer overflows the C kernel's int: both
+    # kernels clamp them to SEARCH_MAX_N + 1, which gives the same cut, so
+    # 2^31 and 2^70 answer alike on both backends, as the brute-force
+    # search with the unclamped values does
+    graphs = connected_census(5)
+    for huge_g, huge_r in ((True, False), (False, True), (True, True)):
+        for mode in range(4):
+            want = None
+            for big in (2**31, 2**70):
+                g, r = (big if huge_g else 1), (big if huge_r else 2)
+                query = CutQuery(g, r, CutMode(mode))
+                brute = [_brute_min_cut(h.adj, 5, g, r, mode) for h in graphs]
+                for module in (compiled, _kernels_py):
+                    monkeypatch.setattr(kernels, "min_cut_search", module.min_cut_search)
+                    got = (
+                        [module.min_cut_search(h.adj, 5, g, r, mode) for h in graphs],
+                        module.min_cut_search_many([h.adj for h in graphs], 5, g, r, mode),
+                        [cut.certificate.cut if (cut := min_cut(h, query)) else -1
+                         for h in graphs],
+                    )
+                    assert got == (brute, brute, brute), (module.BACKEND, g, r, mode)
+                    if want is None:
+                        want = got
+                    assert got == want
 
 
 def _assert_power_parity(compiled, g, comps):

@@ -258,8 +258,9 @@ def test_scan_encodes_only_reported_graphs(monkeypatch):
 
 
 def test_rho_is_solved_only_where_a_top_two_can_move(monkeypatch):
-    # pinned when the Hong-bound pruning landed: 125 members of the 512 in
-    # the census's ten cells, plus one rho per claimed family
+    # 102 members of the 512 in the census's ten cells, plus one rho per
+    # claimed family: 125 members with the Hong bound alone, before the
+    # neighbour-degree bound skipped 23 more
     calls = []
 
     def spy(g, *args, **kwargs):
@@ -269,7 +270,7 @@ def test_rho_is_solved_only_where_a_top_two_can_move(monkeypatch):
     monkeypatch.setattr(verify, "spectral_radius", spy)
     reports = run_verification(7, 1, 2)
     assert sum(rep.population for rep in reports) == 512
-    assert len(calls) == 135
+    assert len(calls) == 112
 
 
 def _unpruned_cells(n, g, r, source):
@@ -341,9 +342,9 @@ def test_usage_error_comes_before_the_scan(monkeypatch):
 
 
 def test_only_reported_cells_are_ranked(monkeypatch):
-    # cell (3, 3) alone: 132 pruned rho solves of its 727 members plus one
-    # for its claimed family graph, against 598 when all 16 cells were
-    # ranked for one report (613 for all 16 reports)
+    # cell (3, 3) alone: 100 pruned rho solves of its 727 members plus one
+    # for its claimed family graph (132 with the Hong bound alone), where
+    # all 16 reports take 445 (613 with the Hong bound alone)
     calls = []
 
     def spy(g, *args, **kwargs):
@@ -354,7 +355,7 @@ def test_only_reported_cells_are_ranked(monkeypatch):
     (rep,) = run_verification(8, 1, 2, cells=[(3, 3)])
     assert rep.confirmed
     assert rep.population == 727
-    assert len(calls) == 133
+    assert len(calls) == 101
 
 
 def test_pool_holds_a_bounded_window_of_chunks(monkeypatch):
