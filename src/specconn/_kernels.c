@@ -10,7 +10,7 @@
  * bitmasks and vertex sets are bitmasks, held here as uint64_t, so
  * 1 <= n <= 64. Mode codes for the cut search: 0 classic, 1 component-count,
  * 2 good-neighbor, 3 good-neighbor+components; any other code is a
- * ValueError. min_cut_search_many is a loop over the same search; only the
+ * ValueError, and so is a negative g or r. min_cut_search_many is a loop over the same search; only the
  * pure kernel decides a batch in shared tables.
  */
 
@@ -86,21 +86,23 @@ as_int(PyObject *obj, int *out)
     return 0;
 }
 
-/* Convert a cut search's g or r to a C int, clamped to SEARCH_MAX_N + 1;
- * returns -1 with an exception set. On n <= SEARCH_MAX_N vertices no
- * survivor keeps that many neighbours and no cut leaves that many
- * components, so every larger value gives the same cut. */
+/* Convert a cut search's g or r, named `name`, to a C int clamped to
+ * SEARCH_MAX_N + 1; returns -1 with an exception set, a ValueError when it
+ * is negative. On n <= SEARCH_MAX_N vertices no survivor keeps that many
+ * neighbours and no cut leaves that many components, so every larger value
+ * gives the same cut. */
 static int
-as_threshold(PyObject *obj, int *out)
+as_threshold(PyObject *obj, const char *name, int *out)
 {
     int overflow;
     long value = PyLong_AsLongAndOverflow(obj, &overflow);
     if (value == -1 && PyErr_Occurred())
         return -1;
+    /* on overflow the value reads -1, so the sign comes from overflow */
     if (overflow > 0 || value > SEARCH_MAX_N + 1)
         value = SEARCH_MAX_N + 1;
-    else if (overflow < 0 || value < INT_MIN) {
-        PyErr_SetString(PyExc_OverflowError, "Python int too large to convert to C int");
+    else if (overflow < 0 || value < 0) {
+        PyErr_Format(PyExc_ValueError, "%s must be >= 0, got %S", name, obj);
         return -1;
     }
     *out = (int)value;
@@ -256,8 +258,8 @@ components_masks(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* Read the n, g, r and mode of a cut search, in that order: n in
- * 1..SEARCH_MAX_N, g and r clamped by as_threshold, then mode in 0..3;
- * returns -1 with an exception set. */
+ * 1..SEARCH_MAX_N, g and r >= 0 and clamped by as_threshold, then mode in
+ * 0..3; returns -1 with an exception set. */
 static int
 read_search(PyObject *const *a, int *n, int *g, int *r, int *mode)
 {
@@ -270,7 +272,7 @@ read_search(PyObject *const *a, int *n, int *g, int *r, int *mode)
                      SEARCH_MAX_N, *n);
         return -1;
     }
-    if (as_threshold(a[1], g) < 0 || as_threshold(a[2], r) < 0)
+    if (as_threshold(a[1], "g", g) < 0 || as_threshold(a[2], "r", r) < 0)
         return -1;
     code = PyLong_AsLong(a[3]);
     if (code == -1 && PyErr_Occurred())

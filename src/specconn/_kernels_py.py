@@ -7,8 +7,9 @@ is the one-set reference predicate that both backends' searches are tested
 against. Adjacency is a sequence of neighbor bitmasks, vertex sets are int
 bitmasks. Mode codes for the cut search: 0 classic, 1 component-count,
 2 good-neighbor, 3 good-neighbor+components; any other code is a
-ValueError, checked after n (and the search's order cap) and before the
-rows.
+ValueError. The checks run in one order: n (and the search's order cap),
+then g and r, either of which is a ValueError when negative, then the mode,
+then the rows.
 
 The cut search does not test candidate sets one at a time. It decides every
 survivor set S = V - F at once. Bit p stands for the set S(p) of the
@@ -61,6 +62,13 @@ def _check_order(n):
         raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
 
 
+def _check_thresholds(g, r):
+    if g < 0:
+        raise ValueError(f"g must be >= 0, got {g}")
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+
+
 def _check_mode(mode):
     if mode not in (0, 1, 2, 3):
         raise ValueError(f"mode must be in 0..3, got {mode}")
@@ -71,12 +79,13 @@ def _check_rows(adj, n):
         raise ValueError(f"adj has {len(adj)} rows, fewer than n = {n}")
 
 
-def _check_search(n, mode):
+def _check_search(n, g, r, mode):
     _check_order(n)
     if n > SEARCH_MAX_N:
         raise ValueError(
             f"exhaustive cut search is capped at {SEARCH_MAX_N} vertices, got n = {n}"
         )
+    _check_thresholds(g, r)
     _check_mode(mode)
 
 
@@ -128,6 +137,7 @@ def _component_count_reaches(adj, surv, r):
 def cut_valid(adj, n, fmask, g, r, mode, /):
     """Whether deleting fmask is a valid cut in the given mode."""
     _check_order(n)
+    _check_thresholds(g, r)
     _check_mode(mode)
     _check_rows(adj, n)
     full = (1 << n) - 1
@@ -163,7 +173,7 @@ def min_cut_search(adj, n, g, r, mode, /):
 
     The batch of one of min_cut_search_many: see the module docstring.
     """
-    _check_search(n, mode)
+    _check_search(n, g, r, mode)
     _check_rows(adj, n)
     return _search_batch((adj,), n, g, r, mode)[0]
 
@@ -171,7 +181,7 @@ def min_cut_search(adj, n, g, r, mode, /):
 def min_cut_search_many(adjs, n, g, r, mode, /):
     """[min_cut_search(adj, n, g, r, mode) for adj in adjs], deciding up to
     _batch_width(n) graphs of order n in one set of truth tables."""
-    _check_search(n, mode)
+    _check_search(n, g, r, mode)
     adjs = list(adjs)
     for adj in adjs:
         _check_rows(adj, n)

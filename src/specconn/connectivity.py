@@ -28,6 +28,12 @@ It makes one batched kernel call, in which the pure kernel decides 2^15 >> n
 graphs per set of truth tables, and builds no certificates. The verify scan
 uses it, since a class needs only k.
 
+Both searches refuse a disconnected graph, and both check with the same
+code on either backend: min_cut_values floods from vertex 0 of all its
+graphs at once, with row v of every graph packed into one int, a block of
+bits per graph, as in the pure kernel's batches (_require_connected); min_cut
+is the flood of one graph.
+
 In NEIGHBOR/FULL mode the sizes stop at n - need*(g+1), where need is 2
 (NEIGHBOR) or r (FULL): every survivor keeps g neighbours inside the deleted
 graph, so each of the >= need components has >= g + 1 vertices, and no
@@ -35,12 +41,15 @@ larger set can be a valid cut. Dropping those sizes changes no result and no
 certificate; it only ends the search early for graphs that have no cut.
 """
 
+import struct
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from . import kernels
-from .graphs import Graph, is_connected
+from .graphs import Graph
 
 
 class CutMode(IntEnum):
@@ -110,7 +119,7 @@ def min_cut(g: Graph, query: CutQuery) -> MinCut | None:
     Exhaustive search; the certificate is the lexicographically least
     minimizer. The kernel raises ValueError past kernels.SEARCH_MAX_N.
     """
-    _require_connected(g)
+    _require_connected((g.adj,), g.n)
     fmask = kernels.min_cut_search(g.adj, g.n, query.g, query.r, int(query.mode))
     if fmask < 0:
         return None
@@ -126,16 +135,41 @@ def min_cut_values(graphs: Sequence[Graph], query: CutQuery) -> list[int | None]
     if not graphs:
         return []
     n = graphs[0].n
-    for g in graphs:
+    adjs = [g.adj for g in graphs]
+    for i, g in enumerate(graphs):
         if g.n != n:
+            # the first bad graph names the error
+            _require_connected(adjs[:i], n)
             raise ValueError(f"one batch holds graphs of orders {n} and {g.n}")
-        _require_connected(g)
-    fmasks = kernels.min_cut_search_many(
-        [g.adj for g in graphs], n, query.g, query.r, int(query.mode)
-    )
+    _require_connected(adjs, n)
+    fmasks = kernels.min_cut_search_many(adjs, n, query.g, query.r, int(query.mode))
     return [None if fmask < 0 else fmask.bit_count() for fmask in fmasks]
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
+def _require_connected(adjs: Sequence[tuple[int, ...]], n: int) -> None:
+    """Raise unless every adjacency, each of order n, is connected.
+
+    One flood from vertex 0 of all of them at once. Graph i owns a block of
+    w bits of one int, w the least of 8, 16, 32 and 64 that holds a row,
+    and rows[v] holds row v of every graph, each in its own block.
+    """
+    size = (n > 8) + (n > 16) + (n > 32)
+    code, w = "BHIQ"[size], 8 << size
+    # one w-bit item per row, in native byte order, so that item i reads
+    # back as block i (or block len - 1 - i, on a big-endian host) of
+    # every rows[v] alike
+    packed = memoryview(
+        struct.pack(f"={len(adjs) * n}{code}", *chain.from_iterable(adjs))
+    ).cast(code)
+    rows = [int.from_bytes(packed[v::n], sys.byteorder) for v in range(n)]
+    ones = ((1 << w * len(adjs)) - 1) // ((1 << w) - 1)
+    reach = ones
+    seen = 0
+    while reach != seen:
+        seen = reach
+        for v, row in enumerate(rows):
+            has = reach >> v & ones
+            # row v, in the blocks that reach v
+            reach |= row & (has << w) - has
+    if reach != ones * ((1 << n) - 1):
         raise ValueError("cut search expects a connected graph")

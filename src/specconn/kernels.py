@@ -4,8 +4,9 @@ The hot loops (flood fill, the two cut searches, power iteration) exist
 twice: a hand-written C extension (specconn._kernels, built from
 _kernels.c by setup.py) and a pure-Python fallback (specconn._kernels_py),
 both positional-only, with identical results and the same ValueError for
-bad input (an order outside 1..64, a cut search past SEARCH_MAX_N, a cut
-mode code outside 0..3, too few rows). The compiled version is used when
+bad input (an order outside 1..64, a cut search past SEARCH_MAX_N, a
+negative g or r, a cut mode code outside 0..3, too few rows), checked in
+that order. The compiled version is used when
 importable; set SPECCONN_PURE=1 to force the fallback.
 
 cut_valid, whether one set is a valid cut, exists once, in _kernels_py, on

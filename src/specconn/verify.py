@@ -215,7 +215,8 @@ def run_verification(
         for values in sizes:
             for h, k in zip(held.popleft(), values):
                 if k is not None:
-                    members.setdefault((degree_profile(h).min_degree, k), []).append(h)
+                    delta = min(map(int.bit_count, h.adj))
+                    members.setdefault((delta, k), []).append(h)
 
     wanted = sorted(members) if cells is None else [(delta, k) for delta, k in cells]
     buckets = {cell: _cell_best(n, members[cell]) for cell in wanted if cell in members}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from specconn._kernels_py import cut_valid
-from specconn.graphs import Graph, from_edges, vertices_of
+from specconn.graphs import MAX_VERTICES, Graph, GraphFormatError, from_edges, vertices_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,6 +57,57 @@ def _brute_min_cut(adj, n: int, g: int, r: int, mode: int) -> int:
             if cut_valid(adj, n, fmask, g, r, mode):
                 return fmask
     return -1
+
+
+def _perbit_graph6_decode(text: str) -> tuple[int, ...]:
+    """Reference graph6 decoder: the same checks, in the same order and with
+    the same messages, as graphs.graph6_decode, then the rows built one
+    payload bit at a time in the upper triangle's column-major order."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphFormatError("empty graph6 record")
+    for ch in s:
+        if not 63 <= ord(ch) <= 126:
+            raise GraphFormatError(f"non-printable graph6 byte {ord(ch)}")
+    if s[0] == "~":
+        if len(s) >= 2 and s[1] == "~":
+            raise GraphFormatError("8-byte graph6 size header exceeds the n <= 64 cap")
+        if len(s) < 4:
+            raise GraphFormatError("truncated multi-byte graph6 size header")
+        n = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63)
+        payload = s[4:]
+    else:
+        n = ord(s[0]) - 63
+        payload = s[1:]
+    if n == 0:
+        raise GraphFormatError("graph6 record encodes an empty vertex set")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"graph6 order {n} exceeds the {MAX_VERTICES}-vertex cap")
+    nbits = n * (n - 1) // 2
+    want = (nbits + 5) // 6
+    if len(payload) != want:
+        raise GraphFormatError(
+            f"graph6 payload length {len(payload)} != {want} for order {n}"
+        )
+    pad = 6 * want - nbits
+    if pad and (ord(payload[-1]) - 63) & ((1 << pad) - 1):
+        raise GraphFormatError("nonzero padding bits in final graph6 group")
+    rows = [0] * n
+    row, col = 0, 1
+    for ch in payload:
+        group = ord(ch) - 63
+        for shift in (5, 4, 3, 2, 1, 0):
+            if col == n:
+                break
+            if group >> shift & 1:
+                rows[row] |= 1 << col
+                rows[col] |= 1 << row
+            row += 1
+            if row == col:
+                row, col = 0, col + 1
+    return tuple(rows)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import pytest
 
+from specconn import _kernels_py, kernels
 from specconn.census import connected_census
 from specconn.connectivity import (
     CutMode,
@@ -16,11 +17,15 @@ from specconn.graphs import (
     degree_profile,
     empty_graph,
     from_edges,
+    is_connected,
     mask_of,
     path_graph,
+    permute,
     vertices_of,
 )
 from specconn.transforms import random_connected_graph
+from specconn.verify import run_verification
+from conftest import random_graph
 
 FULL = CutMode.FULL
 
@@ -171,3 +176,46 @@ def test_cut_set_containment_is_literal(n):
                         assert base is not None
                     if base is not None:
                         assert neighbor is not None
+
+
+@pytest.mark.parametrize("backend", ["c", "pure"])
+def test_chunk_connectivity_check_on_both_backends(compiled, monkeypatch, backend):
+    # one disconnected graph first, in the middle, last, and as the 129th
+    # graph, past the pure kernel's first batch of 2^15 >> 8 = 128 graphs,
+    # of a 512-graph chunk at n = 8: the whole chunk is refused before the
+    # cut search, and so is a verify run over such a source
+    module = compiled if backend == "c" else _kernels_py
+    for name in ("min_cut_search", "min_cut_search_many"):
+        monkeypatch.setattr(kernels, name, getattr(module, name))
+    census = connected_census(8)[:511]
+    lone_zero = from_edges(8, [(v, v + 1) for v in range(1, 7)])
+    halves = from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+    query = CutQuery(1, 2)
+    for where in (0, 255, 511, 128):
+        for bad in (lone_zero, halves):
+            source = census[:where] + [bad] + census[where:]
+            with pytest.raises(ValueError) as exc:
+                min_cut_values(source, query)
+            assert str(exc.value) == "cut search expects a connected graph"
+            with pytest.raises(ValueError) as exc:
+                run_verification(8, 1, 2, source=iter(source))
+            assert str(exc.value) == "cut search expects a connected graph"
+    want = [None if (cut := min_cut(h, query)) is None else cut.value for h in census]
+    assert min_cut_values(census, query) == want
+
+
+def test_chunk_connectivity_check_matches_is_connected(rng):
+    # rows are packed 8, 16, 32 or 64 bits per graph by order; past the
+    # search cap a connected chunk gets as far as the kernel's order error
+    for n in (1, 2, 5, 8, 9, 16, 17, 20, 32, 33, 64):
+        graphs = [random_graph(rng, n, rng.random()) for _ in range(40)]
+        # a path in random order floods over several sweeps
+        graphs += [permute(path_graph(n), rng.sample(range(n), n)), complete_graph(n)]
+        for h in graphs:
+            try:
+                min_cut_values([path_graph(n), h, path_graph(n)], CutQuery(1, 2))
+            except ValueError as exc:
+                connected = str(exc) != "cut search expects a connected graph"
+            else:
+                connected = True
+            assert connected == is_connected(h), (n, h)

@@ -342,3 +342,35 @@ def test_power_iteration_rejects_vertices_outside_the_graph(compiled):
         for comp in (0, 0b100, TOP_BIT):
             with pytest.raises(ValueError):
                 module.power_iteration(adj, 2, comp, 1e-12, 100)
+
+
+@pytest.mark.parametrize("name", ["cut_valid", "min_cut_search", "min_cut_search_many"])
+def test_negative_threshold_raises(compiled, name):
+    # a negative g or r, however far below the C int range, is checked
+    # after n and the search's order cap and before the mode and the rows,
+    # with the same message on both backends
+    def call(module, n, g, r, mode, rows):
+        adj = (0b11110, 1, 1, 1, 1)[:rows]
+        if name == "cut_valid":
+            return module.cut_valid(adj, n, 0b1, g, r, mode)
+        if name == "min_cut_search":
+            return module.min_cut_search(adj, n, g, r, mode)
+        return module.min_cut_search_many([adj], n, g, r, mode)
+
+    cases = []
+    for low in (-1, -2**31, -2**31 - 1, -2**70):
+        cases += [(5, low, 2, 3, 5, f"g must be >= 0, got {low}"),
+                  (5, 1, low, 3, 5, f"r must be >= 0, got {low}"),
+                  (5, low, low, 0, 5, f"g must be >= 0, got {low}"),
+                  (5, 1, low, 7, 2, f"r must be >= 0, got {low}"),
+                  (0, low, low, 7, 2, "n must be in 1..64, got 0")]
+    if name != "cut_valid":
+        cases.append((21, -1, -1, 3, 5, "exhaustive cut search is capped at 20 vertices, got n = 21"))
+    for module in (_kernels_py,) if name == "cut_valid" else (compiled, _kernels_py):
+        for n, g, r, mode, rows, message in cases:
+            with pytest.raises(ValueError) as exc:
+                call(module, n, g, r, mode, rows)
+            assert str(exc.value) == message, (module.BACKEND, n, g, r, mode)
+        # zero is a threshold like any other
+        for mode in range(4):
+            call(module, 5, 0, 0, mode, 5)
