@@ -34,7 +34,7 @@ PAIRS = 10
 SEED = 11
 SECONDS = 30
 COMPILED_PAIRS = 5
-COMPILED_WORKLOADS = ("census-verify", "ingest-sweep")
+COMPILED_WORKLOADS = WORKLOADS
 
 
 def perfbench(root: str, workload: str, seed: int, trace: int,

@@ -41,6 +41,40 @@ read off its own block as above. A batch is at most TABLE_BITS bits wide,
 _batch_width(n) graphs (2^15 >> n for n >= 3); longer lists are cut into
 batches of that width. min_cut_search is the batch of one, which has no
 gates and no repeated tables.
+
+power_iteration makes one pass over the rows per iteration: row i gives
+z_i = (Ax)_i, then rho += x_i z_i, y_i = z_i + x_i and norm += y_i^2. These
+are the floating-point operations of the five loops the C kernel runs (one
+each for z, rho, the residual, y with its norm, and x = y / sqrt(norm)), in
+the same order, so the results are the same bits as those loops give in
+Python. Only the test ||r||_inf <= t, r = z - rho x and t = tol * max(1, rho),
+needs the finished rho and a second loop, and the pass can often prove the
+test fails without it. For unit x and rho = x.z,
+
+    ||z - rho x||^2 = ||z||^2 - rho^2 = ||z + x||^2 - (rho + 1)^2
+                    = norm - (rho + 1)^2,
+
+and ||r||_inf >= ||r||_2 / sqrt(size), so the test fails when
+norm - (rho + 1)^2 > size t^2. In floating point x is unit only to about
+(size + 3) eps, the computed rho is off by at most size eps rho, and
+forming norm, (rho + 1)^2 and their difference adds a few eps norm: the
+estimate is within about 4 size eps norm (under 6e-14 norm at size 64) of
+the exact ||z - rho x||^2 of the computed z, x and rho. The loop rounds
+each |z_i - rho x_i| by at most 2 eps rho and a relative eps, so it finds
+an entry over t whenever the exact ||r||_inf^2 exceeds
+t^2 (1 + 1e-12) + 2e-18 rho^2. The loop is therefore skipped only when
+
+    norm - (rho + 1)^2 > size t^2 + 1e-12 (norm + size t^2),
+
+which leaves, beside the 1e-12 size t^2 the loop needs, over 15 times the
+estimate's error (size <= 64, norm >= rho^2); then the loop would have
+failed the test. Otherwise it runs and stops at the first entry
+over t. The full maximum (_residual) is taken only where it is returned: at
+convergence, and at the last iteration, whose residual a non-converged
+return reports. The subtraction cancels the bound's precision near
+convergence: once ||r||_2 falls below about 1e-6 (rho + 1) the loop runs
+every iteration, which is about half of them at tol = 1e-12, but it then
+stops after one or two entries.
 """
 
 from functools import reduce
@@ -392,53 +426,74 @@ def power_iteration(adj, n, comp_mask, tol, max_iter, /):
 
     Shifted power iteration on A+I; returns (rho, x, iterations, residual,
     converged) with x listed over the component's vertices in ascending
-    order, unit Euclidean norm.
+    order, unit Euclidean norm. One pass over the rows per iteration, and
+    the residual test as the module docstring derives it.
     """
     _check_order(n)
     _check_rows(adj, n)
     if not comp_mask or comp_mask >> n:
         raise ValueError("comp_mask must be a nonempty subset of the n vertices")
-    vs = []
-    m = comp_mask
-    while m:
-        low = m & -m
-        vs.append(low.bit_length() - 1)
-        m ^= low
-    size = len(vs)
+    size = comp_mask.bit_count()
     if size == 1:
         return 0.0, [1.0], 0, 0.0, True
-    index = {v: i for i, v in enumerate(vs)}
-    nbrs = [[index[w] for w in _bit_positions(adj[v] & comp_mask)] for v in vs]
+    if size == n:
+        nbrs = [_bit_positions(adj[v] & comp_mask) for v in range(n)]
+    else:
+        vs = _bit_positions(comp_mask)
+        index = {v: i for i, v in enumerate(vs)}
+        nbrs = [[index[w] for w in _bit_positions(adj[v] & comp_mask)] for v in vs]
+    rows = list(enumerate(nbrs))
     x = [1.0 / sqrt(size)] * size
+    z = [0.0] * size
+    y = [0.0] * size
     rho = 0.0
     resid = 0.0
     for it in range(1, max_iter + 1):
-        z = [0.0] * size
-        for i, row in enumerate(nbrs):
+        # z = A x, rho = x.z, y = z + x and norm = y.y, each summed in row order
+        rho = 0.0
+        norm = 0.0
+        for i, row in rows:
             acc = 0.0
             for j in row:
                 acc += x[j]
             z[i] = acc
-        rho = 0.0
-        for i in range(size):
-            rho += x[i] * z[i]
-        resid = 0.0
-        for i in range(size):
-            d = z[i] - rho * x[i]
-            if d < 0.0:
-                d = -d
-            if d > resid:
-                resid = d
-        if resid <= tol * max(1.0, rho):
-            return rho, x, it, resid, True
-        norm = 0.0
-        for i in range(size):
-            z[i] += x[i]
-            norm += z[i] * z[i]
+            xi = x[i]
+            rho += xi * acc
+            acc += xi
+            y[i] = acc
+            norm += acc * acc
+        bound = tol * (rho if rho > 1.0 else 1.0)
+        if it == max_iter:
+            # a non-converged return reports this residual
+            resid = _residual(z, x, rho)
+            if resid <= bound:
+                return rho, x, it, resid, True
+        else:
+            floor = size * bound * bound
+            if norm - (rho + 1.0) ** 2 <= floor + 1e-12 * (norm + floor):
+                # the bound cannot rule convergence out: look for an entry
+                # of z - rho x over the bound, and stop at the first
+                for i in range(size):
+                    d = z[i] - rho * x[i]
+                    if d > bound or -d > bound:
+                        break
+                else:
+                    return rho, x, it, _residual(z, x, rho), True
         norm = sqrt(norm)
-        for i in range(size):
-            x[i] = z[i] / norm
+        x = [v / norm for v in y]
     return rho, x, max_iter, resid, False
+
+
+def _residual(z, x, rho):
+    """max_i |z_i - rho x_i|, the infinity-norm residual."""
+    resid = 0.0
+    for i in range(len(z)):
+        d = z[i] - rho * x[i]
+        if d < 0.0:
+            d = -d
+        if d > resid:
+            resid = d
+    return resid
 
 
 def _bit_positions(mask):

@@ -44,6 +44,49 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# packed bit matrices
+#
+# A width x width bit matrix packed into one int, row i in bits
+# [i*width, (i + 1)*width), width a power of two >= 8. Graph validation packs
+# the adjacency rows this way and the graph6 decoder builds its lower
+# triangle this way; both transpose it with log2(width) masked swaps.
+
+def _matrix_width(n: int) -> int:
+    """The least power of two >= max(n, 8)."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+# width -> (transpose swaps, diagonal mask), built on first use
+_bit_matrices: dict[int, tuple[list[tuple[int, int]], int]] = {}
+
+
+def _bit_matrix(width: int) -> tuple[list[tuple[int, int]], int]:
+    """(swaps, diagonal) of the packed width x width matrix: each (delta,
+    mask) swap exchanges bit k of the row index with bit k of the column
+    index, for one bit k below width, and diagonal has bit i*width + i set
+    for every i."""
+    plan = _bit_matrices.get(width)
+    if plan is None:
+        swaps = []
+        k = width >> 1
+        while k:
+            row = sum(1 << j for j in range(width) if j & k)
+            mask = sum(row << i * width for i in range(width) if not i & k)
+            swaps.append((k * (width - 1), mask))
+            k >>= 1
+        diagonal = sum(1 << i * (width + 1) for i in range(width))
+        plan = _bit_matrices[width] = (swaps, diagonal)
+    return plan
+
+
+def _transpose(matrix: int, swaps: list[tuple[int, int]]) -> int:
+    for delta, mask in swaps:
+        moved = (matrix ^ matrix >> delta) & mask
+        matrix ^= moved ^ moved << delta
+    return matrix
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on labeled vertices 0..n-1.
@@ -56,20 +99,31 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
+        n, adj = self.n, self.adj
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        if min(adj) >= 0 and max(adj) <= full:
+            # row v is bits [v*width, v*width + n) of one int; the lowest
+            # bit set in it and not in its transpose is the least (v, w)
+            # with w in N(v) and v not in N(w)
+            width = _matrix_width(n)
+            swaps, diagonal = _bit_matrix(width)
+            packed = sum(map(lshift, adj, range(0, n * width, width)))
+            if not packed & diagonal:
+                asymmetric = packed & ~_transpose(packed, swaps)
+                if asymmetric:
+                    v, w = divmod((asymmetric & -asymmetric).bit_length() - 1, width)
+                    raise ValueError(f"asymmetric adjacency between {v} and {w}")
+                return
+        # some row is out of range or has a self-loop: name the first one
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"neighbor bits of vertex {v} out of range")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.adj):
-            for w in vertices_of(row):
-                if not self.adj[w] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {v} and {w}")
 
     # -- basic queries ------------------------------------------------------
 
@@ -210,9 +264,8 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
 # table: every character inside one column has offsets 0..5, so past that
 # one an order adds tables only for characters that a column boundary splits
 # or the padding cuts short (41 more at n = 64). The sum
-# of the shifted contributions is L; its transpose, by log2(width) masked
-# swaps, is the upper triangle, and the rows are read off the bytes of the
-# two together.
+# of the shifted contributions is L; its transpose (_transpose) is the
+# upper triangle, and the rows are read off the bytes of the two together.
 
 def graph6_encode(g: Graph) -> str:
     if g.n > 62:
@@ -266,9 +319,7 @@ def _graph6_plan(n: int) -> tuple:
     unshared table per character of both triangles' packed rows would take
     8.7 MB at n = 64.
     """
-    width = 8
-    while width < n:
-        width *= 2
+    width = _matrix_width(n)
     # L position of each bit, in the upper triangle's column-major order
     where = [c * width + r for c in range(1, n) for r in range(c)]
     tables, shifts = [], []
@@ -276,15 +327,7 @@ def _graph6_plan(n: int) -> tuple:
         first = where[i]
         tables.append(_graph6_table(tuple(p - first for p in where[i:i + 6])))
         shifts.append(first)
-    # transpose: swap bit k of the row with bit k of the column, for each
-    # bit k of an index below width
-    swaps = []
-    k = width >> 1
-    while k:
-        row = sum(1 << j for j in range(width) if j & k)
-        mask = sum(row << i * width for i in range(width) if not i & k)
-        swaps.append((k * (width - 1), mask))
-        k >>= 1
+    swaps = _bit_matrix(width)[0]
     if width == 8:
         def split(matrix: int) -> tuple[int, ...]:
             return tuple(matrix.to_bytes(n, "little"))
@@ -337,12 +380,8 @@ def graph6_decode(text: str) -> Graph:
     tables, shifts, swaps, split = _graph6_plans.get(n) or _graph6_plan(n)
     # the shifted contributions have disjoint bits, so their sum is L
     lower = sum(map(lshift, map(getitem, tables, payload.encode()), shifts))
-    upper = lower
-    for delta, mask in swaps:
-        moved = (upper ^ upper >> delta) & mask
-        upper ^= moved ^ moved << delta
     # symmetric, loop-free and within n by construction
-    return _trusted(n, split(lower | upper))
+    return _trusted(n, split(lower | _transpose(lower, swaps)))
 
 
 # ---------------------------------------------------------------------------

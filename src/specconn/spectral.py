@@ -70,6 +70,9 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
             best = (rho, comp, x, iters, resid)
     assert best is not None
     rho, comp, x, iters, resid = best
+    if comp == g.vertex_mask:
+        # x already lists every vertex in order
+        return SpectralResult(rho, tuple(x), iters, resid)
     perron = [0.0] * g.n
     for i, v in enumerate(vertices_of(comp)):
         perron[v] = x[i]

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .graphs import (
     Graph,
     add_edges,
-    from_edges,
     induced_subgraph,
     is_connected,
     mask_of,
@@ -168,14 +167,21 @@ def check_join_rebalance(s: int, parts: list[int], p: int) -> RebalanceCheck:
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
     """Random attachment tree plus independent extra edges (always connected)."""
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    rows = [0] * n
+    for v in range(1, n):
+        u = rng.randrange(v)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     p = rng.uniform(0.1, 0.9)
-    present = set(edges)
-    for u in range(n):
+    for u in range(n - 1):
+        # bit v of row u is still only the tree edge u-v, if any
+        row = rows[u]
         for v in range(u + 1, n):
-            if (u, v) not in present and rng.random() < p:
-                edges.append((u, v))
-    return from_edges(n, edges)
+            if not row >> v & 1 and rng.random() < p:
+                row |= 1 << v
+                rows[v] |= 1 << u
+        rows[u] = row
+    return Graph(n, tuple(rows))
 
 
 @dataclass

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations, permutations
+from math import sqrt
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,80 @@ def _perbit_graph6_decode(text: str) -> tuple[int, ...]:
             if row == col:
                 row, col = 0, col + 1
     return tuple(rows)
+
+
+def _loop_power_iteration(adj, n, comp_mask, tol, max_iter):
+    """Reference power iteration: the pure kernel's contract, computed by
+    five loops per iteration as the C kernel does (z = Ax, rho, the
+    infinity-norm residual, y = z + x with its norm, x = y / norm)."""
+    vs = vertices_of(comp_mask)
+    size = len(vs)
+    if size == 1:
+        return 0.0, [1.0], 0, 0.0, True
+    index = {v: i for i, v in enumerate(vs)}
+    nbrs = [[index[w] for w in vertices_of(adj[v] & comp_mask)] for v in vs]
+    x = [1.0 / sqrt(size)] * size
+    rho = 0.0
+    resid = 0.0
+    for it in range(1, max_iter + 1):
+        z = [0.0] * size
+        for i, row in enumerate(nbrs):
+            acc = 0.0
+            for j in row:
+                acc += x[j]
+            z[i] = acc
+        rho = 0.0
+        for i in range(size):
+            rho += x[i] * z[i]
+        resid = 0.0
+        for i in range(size):
+            d = z[i] - rho * x[i]
+            if d < 0.0:
+                d = -d
+            if d > resid:
+                resid = d
+        if resid <= tol * max(1.0, rho):
+            return rho, x, it, resid, True
+        norm = 0.0
+        for i in range(size):
+            z[i] += x[i]
+            norm += z[i] * z[i]
+        norm = sqrt(norm)
+        for i in range(size):
+            x[i] = z[i] / norm
+    return rho, x, max_iter, resid, False
+
+
+def _loop_graph_check(n: int, adj) -> None:
+    """Reference Graph validation: the checks of Graph.__post_init__, in its
+    order and with its messages, symmetry tested edge by edge."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    if len(adj) != n:
+        raise ValueError("adjacency length does not match vertex count")
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"neighbor bits of vertex {v} out of range")
+        if row >> v & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+    for v, row in enumerate(adj):
+        for w in vertices_of(row):
+            if not adj[w] >> v & 1:
+                raise ValueError(f"asymmetric adjacency between {v} and {w}")
+
+
+def _edge_list_connected_graph(rng: random.Random, n: int) -> Graph:
+    """Reference transforms.random_connected_graph: the same rng calls in the
+    same order, the graph built from an edge list."""
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    p = rng.uniform(0.1, 0.9)
+    present = set(edges)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in present and rng.random() < p:
+                edges.append((u, v))
+    return from_edges(n, edges)
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from specconn.graphs import (
     cycle_graph,
     degree_profile,
     disjoint_union,
+    empty_graph,
     from_edges,
     induced_subgraph,
     is_isomorphic,
@@ -26,7 +27,7 @@ from specconn.graphs import (
     permute,
     vertices_of,
 )
-from conftest import _brute_canonical_adj, random_graph
+from conftest import _brute_canonical_adj, _loop_graph_check, random_graph
 
 
 def test_graph_validation():
@@ -40,6 +41,83 @@ def test_graph_validation():
         Graph(65, (0,) * 65)
     with pytest.raises(ValueError):
         from_edges(3, [(0, 0)])
+
+
+def _message(check, n, adj):
+    """The ValueError message check(n, adj) raises, or None."""
+    try:
+        check(n, adj)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_asymmetric_flips_match_edge_loop(rng):
+    # every single-bit flip off the diagonal, at every order and so every
+    # width of the packed transpose, names the pair the edge loop names
+    for n in range(1, 65):
+        rows = list(random_graph(rng, n, 0.3 if n <= 16 else 0.05).adj)
+        for v in range(n):
+            for w in range(n):
+                if v == w:
+                    continue
+                rows[v] ^= 1 << w
+                adj = tuple(rows)
+                rows[v] ^= 1 << w
+                want = _message(_loop_graph_check, n, adj)
+                assert want is not None
+                assert _message(Graph, n, adj) == want, (n, v, w)
+
+
+def test_many_asymmetric_pairs_match_edge_loop(rng):
+    # with several asymmetric pairs the edge loop names the least (v, w)
+    for n in range(2, 65):
+        for _ in range(20):
+            adj = tuple(
+                rng.getrandbits(n) & rng.getrandbits(n) & ~(1 << v) for v in range(n)
+            )
+            want = _message(_loop_graph_check, n, adj)
+            assert _message(Graph, n, adj) == want, (n, adj)
+
+
+def test_bad_rows_match_edge_loop(rng):
+    # self-loops, rows out of range and negative rows are named as the edge
+    # loop names them, also when an asymmetric pair or a second bad row
+    # comes with them
+    for n in (1, 2, 3, 7, 8, 9, 16, 17, 32, 33, 63, 64):
+        base = random_graph(rng, n, 0.4).adj
+        for v in range(n):
+            for bad in (
+                base[v] | 1 << v,
+                base[v] | 1 << n,
+                base[v] | 1 << 64,
+                base[v] | 1 << 200,
+                -1,
+                -(1 << n),
+                ~base[v],
+            ):
+                rows = list(base)
+                rows[v] = bad
+                cases = [rows]
+                if n > 1:
+                    other = rng.choice([u for u in range(n) if u != v])
+                    skew = list(rows)
+                    skew[other] ^= 1 << v
+                    loop = list(rows)
+                    loop[other] |= 1 << other
+                    cases += [skew, loop]
+                for case in cases:
+                    adj = tuple(case)
+                    want = _message(_loop_graph_check, n, adj)
+                    assert want is not None
+                    assert _message(Graph, n, adj) == want, (n, v, bad)
+
+
+def test_valid_graphs_pass_validation(rng):
+    for n in range(1, 65):
+        for g in (random_graph(rng, n, rng.random()), complete_graph(n), empty_graph(n)):
+            assert _message(_loop_graph_check, n, g.adj) is None
+            assert Graph(n, g.adj) == g
 
 
 def test_graph_is_slotted_and_pickles_by_value(rng):

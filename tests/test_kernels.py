@@ -18,7 +18,7 @@ from specconn.census import connected_census
 from specconn.connectivity import CutMode, CutQuery, min_cut
 from specconn.graphs import complete_graph, path_graph
 from specconn.spectral import iteration_cap
-from conftest import _brute_min_cut, random_graph
+from conftest import _brute_min_cut, _loop_power_iteration, random_graph
 
 TOP_BIT = 1 << 63
 
@@ -374,3 +374,48 @@ def test_negative_threshold_raises(compiled, name):
         # zero is a threshold like any other
         for mode in range(4):
             call(module, 5, 0, 0, mode, 5)
+
+
+def _power_cases(rng):
+    """(adj, n, comp_mask) at every order 1-64: each component of a random
+    graph, sparse enough at some orders to be disconnected, and then the
+    union of its components and a random vertex set, which need not be
+    connected either."""
+    for n in range(1, 65):
+        g = random_graph(rng, n, (0.04, 0.15, 0.5)[n % 3])
+        comps = _kernels_py.components_masks(g.adj, n, 0)
+        masks = comps + [g.vertex_mask, rng.getrandbits(n) or 1]
+        for mask in masks:
+            yield g.adj, n, mask
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_power_iteration_matches_five_loop_oracle(rng, tol):
+    # the one-pass loop runs the five loops' floating-point operations in
+    # their order, so every field compares equal, the floats included
+    for adj, n, mask in _power_cases(rng):
+        args = (adj, n, mask, tol, 2000)
+        assert _kernels_py.power_iteration(*args) == _loop_power_iteration(*args), (n, mask)
+
+
+def test_power_iteration_loose_tolerances_match_oracle(rng):
+    # the residual bound's margin scales with size * tol^2 as well, so a
+    # skipped residual stays sound for tolerances far past the solver's
+    for tol in (1e-3, 0.5, 10.0, 0.0):
+        for adj, n, mask in _power_cases(rng):
+            args = (adj, n, mask, tol, 40)
+            assert _kernels_py.power_iteration(*args) == _loop_power_iteration(*args)
+
+
+def test_power_iteration_unconverged_return_matches_oracle(rng):
+    # a run cut off by max_iter returns the x of its last normalisation with
+    # the residual of its last iteration, which the shortcut must still take
+    for n in (2, 3, 5, 8, 9, 16, 17, 33, 64):
+        g = random_graph(rng, n, 0.3)
+        for mask in _kernels_py.components_masks(g.adj, n, 0) + [g.vertex_mask]:
+            for max_iter in range(6):
+                args = (g.adj, n, mask, 1e-12, max_iter)
+                got = _kernels_py.power_iteration(*args)
+                assert got == _loop_power_iteration(*args), (n, mask, max_iter)
+                if not got[4]:
+                    assert got[2] == max_iter

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from specconn.graphs import (
@@ -20,6 +22,7 @@ from specconn.transforms import (
     random_connected_graph,
     rotate,
 )
+from conftest import _edge_list_connected_graph
 
 
 def test_rotate_path_example():
@@ -151,3 +154,12 @@ def test_random_connected_graph_is_connected(rng):
 
     for _ in range(200):
         assert is_connected(random_connected_graph(rng, rng.randint(2, 12)))
+
+
+def test_random_connected_graph_matches_edge_list_construction():
+    # the same rng calls in the same order give the same graph
+    for seed in range(200):
+        for n in range(1, 17):
+            ours, theirs = random.Random(seed * 17 + n), random.Random(seed * 17 + n)
+            assert random_connected_graph(ours, n) == _edge_list_connected_graph(theirs, n)
+            assert ours.getstate() == theirs.getstate()
