@@ -2,9 +2,9 @@
 
 Bitset graphs with a graph6 codec and exact canonicalization; exhaustive
 good-neighbor / component connectivity with certificates; power-iteration and
-quotient-matrix spectral radii; extremal join-of-cliques families; and an
-exhaustive pipeline verifying that those families maximize the spectral
-radius in their classes.
+quotient-matrix spectral radii; one join-of-cliques Shape type with the
+extremal families laid out as shapes; and an exhaustive pipeline verifying
+that those families maximize the spectral radius in their classes.
 """
 
 __version__ = "0.1.0"
@@ -22,6 +22,7 @@ from .families import (
     Family,
     FamilyParams,
     InfeasibleFamilyError,
+    Shape,
     claimed_extremal,
     construct,
     extremal_family_for,
@@ -53,11 +54,9 @@ from .graphs import (
 )
 from .kernels import BACKEND
 from .spectral import (
-    CliqueJoinShape,
     ConvergenceError,
     SpectralResult,
     ViolationError,
-    assemble_clique_join,
     perron_compare,
     quotient_spectral_radius,
     spectral_radius,

@@ -1,11 +1,11 @@
-"""Constructors for the extremal graph families and the case dispatcher.
+"""Join-of-cliques shapes, the extremal families and the case dispatcher.
 
-Every family is a join of cliques, possibly with one distinguished pendant
-vertex u of prescribed degree delta wired into named parts. Labeling is
-fixed so output is reproducible: u (when present) is vertex 0, then the join
-core, then the big clique, then the small parts in order; pendant edges
-always attach to the lowest-labeled vertices of their target part (all
-choices are isomorphic by part symmetry).
+Every family is a Shape: K_c v (K_{p1} u ... u K_{pt}), possibly with one
+pendant vertex u joined to the first vertices of named blocks, built by the
+one builder Shape.build. Labeling is fixed so output is reproducible: u
+(when present) is vertex 0, then the join core, then the big clique, then
+the small parts in order; pendant edges always attach to the lowest-labeled
+vertices of their target part (all choices are isomorphic by part symmetry).
 
 With m = n - (r-1)(g+1) - k:
 
@@ -69,6 +69,48 @@ class FamilyParams:
     r: int
 
 
+@dataclass(frozen=True)
+class Shape:
+    """A connected K_core v (K_{p1} u ... u K_{pt}), possibly with a pendant u.
+
+    pendant is None when there is no u; otherwise each target (block, count)
+    joins u to the first count vertices of block 0 (the core) or part j.
+    """
+
+    core: int
+    parts: tuple[int, ...]
+    pendant: tuple[tuple[int, int], ...] | None = None
+
+    def __post_init__(self):
+        if self.core < 0:
+            raise ValueError("join core size must be >= 0")
+        if not self.parts or any(q < 1 for q in self.parts):
+            raise ValueError("clique parts must be nonempty positive sizes")
+        sizes = (self.core, *self.parts)
+        for block, count in self.pendant or ():
+            if not (0 <= block < len(sizes) and 1 <= count <= sizes[block]):
+                raise ValueError(f"pendant target {(block, count)} needs a block in "
+                                 f"0..{len(sizes) - 1} and a count in 1..its size")
+        # u isolated, or no core to link the parts and a part u misses
+        reached = {block for block, _ in self.pendant or ()}
+        if self.pendant == () or self.core == 0 and len(self.parts) > max(1, len(reached)):
+            raise ValueError("shape is disconnected")
+
+    @property
+    def n(self) -> int:
+        return (self.pendant is not None) + self.core + sum(self.parts)
+
+    def build(self) -> Graph:
+        """The labeled graph: u (when present), then the core, then the parts."""
+        body = reduce(disjoint_union, map(complete_graph, self.parts))
+        body = join(complete_graph(self.core), body) if self.core else body
+        if self.pendant is None:
+            return body
+        starts = list(accumulate((self.core, *self.parts), initial=1))
+        edges = ((0, starts[block] + i) for block, count in self.pendant for i in range(count))
+        return add_edges(disjoint_union(empty_graph(1), body), edges)
+
+
 def feasibility_violations(p: FamilyParams) -> list[str]:
     """Named constraint violations; empty means constructible."""
     bad = []
@@ -127,41 +169,30 @@ def _check(p: FamilyParams) -> None:
         raise InfeasibleFamilyError(p, bad)
 
 
-def _layout(p: FamilyParams) -> tuple[int, list[int], list[tuple[int, int]] | None]:
-    """(core size, part sizes in label order, pendant targets) of a family.
-
-    A target (block, count) joins u to the first count vertices of a block,
-    block 0 being the core; targets are None when there is no pendant u.
-    """
+def _layout(p: FamilyParams) -> Shape:
+    """The family's shape, in the label order the module docstring fixes."""
     n, k, delta, g, r = p.n, p.k, p.delta, p.g, p.r
     m = n - (r - 1) * (g + 1) - k
-    smalls = [g + 1] * (r - 1)
+    smalls = (g + 1,) * (r - 1)
     if p.family is Family.DELTA_0:
-        return k - 1, [m, *smalls], [(0, delta)]
+        return Shape(k - 1, (m, *smalls), ((0, delta),))
     if p.family is Family.DELTAMG_G:
-        return k, [m, *smalls[1:], g], [(0, delta - g), (r, g)]
+        # drop the empty K_g part at g = 0 (the last block, so every label
+        # stays) and each target of count 0, such as the core at delta = g
+        return Shape(k, tuple(q for q in (m, *smalls[1:], g) if q),
+                     tuple(t for t in ((0, delta - g), (r, g)) if t[1]))
     if p.family is Family.KM1_DMKP1:
-        return k - 1, [m, *smalls], [(0, k - 1), (1, delta - k + 1)]
+        return Shape(k - 1, (m, *smalls), ((0, k - 1), (1, delta - k + 1)))
     if p.family is Family.ZERO_DELTA:  # k = 1 here, so m0 = m
-        return 0, [m, *smalls], [(1, delta - r + 1)] + [(j, 1) for j in range(2, r + 1)]
+        return Shape(0, (m, *smalls), ((1, delta - r + 1), *((j, 1) for j in range(2, r + 1))))
     small = delta - k + 1
-    return k, [n - k - small * (r - 1)] + [small] * (r - 1), None
+    return Shape(k, (n - k - small * (r - 1),) + (small,) * (r - 1))
 
 
 def construct(p: FamilyParams) -> Graph:
     """Build the labeled family graph (order n, min degree exactly delta)."""
     _check(p)
-    s, parts, pendant = _layout(p)
-    # a part of size 0 (deltamg-g's K_g at g = 0) adds no vertices
-    body = reduce(disjoint_union, (complete_graph(q) for q in parts if q))
-    body = join(complete_graph(s), body) if s else body
-    if pendant is None:
-        return body
-    starts = list(accumulate([s, *parts], initial=1))
-    return add_edges(
-        disjoint_union(empty_graph(1), body),
-        ((0, starts[block] + i) for block, count in pendant for i in range(count)),
-    )
+    return _layout(p).build()
 
 
 def witness_cut(p: FamilyParams) -> int:
@@ -170,10 +201,10 @@ def witness_cut(p: FamilyParams) -> int:
     It is the core, plus the pendant vertex 0 when the core has k-1 vertices.
     """
     _check(p)
-    s, _, pendant = _layout(p)
-    first = 0 if pendant is None else 1
-    core = ((1 << s) - 1) << first
-    return core | 1 if s == p.k - 1 else core
+    shape = _layout(p)
+    first = 0 if shape.pendant is None else 1
+    core = ((1 << shape.core) - 1) << first
+    return core | 1 if shape.core == p.k - 1 else core
 
 
 def verify_witness(p: FamilyParams) -> bool:

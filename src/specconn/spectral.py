@@ -2,17 +2,17 @@
 
 The eigensolver is a shifted power iteration (A+I) per connected component;
 the shift keeps the dominant eigenvalue simple-signed so convergence is
-linear for every adjacency matrix. Join-of-cliques graphs additionally get
-an exact spectral radius from the secular equation of their equitable
-partition, used to cross-check the iterative path.
+linear for every adjacency matrix. A pendant-free join of cliques
+(families.Shape) additionally gets an exact spectral radius from the secular
+equation of its equitable partition, used to cross-check the iterative path.
 """
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from . import kernels
-from .graphs import Graph, complete_graph, components, disjoint_union, join, vertices_of
+from .families import Shape
+from .graphs import Graph, components, vertices_of
 
 DEFAULT_TOL = 1e-12
 TWIN_TOL = 1e-9
@@ -82,36 +82,8 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
 # ---------------------------------------------------------------------------
 # join-of-cliques quotient
 
-@dataclass(frozen=True)
-class CliqueJoinShape:
-    """K_s joined to a disjoint union of cliques with the given part sizes."""
-
-    s: int
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("join core size must be >= 0")
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError("clique parts must be nonempty positive sizes")
-        if self.s == 0 and len(self.parts) > 1:
-            raise ValueError("shape is disconnected (s = 0 with several parts)")
-
-    @property
-    def n(self) -> int:
-        return self.s + sum(self.parts)
-
-
-def assemble_clique_join(shape: CliqueJoinShape) -> Graph:
-    """Build the labeled graph: core vertices first, then parts in order."""
-    parts = reduce(disjoint_union, (complete_graph(p) for p in shape.parts))
-    if shape.s == 0:
-        return parts
-    return join(complete_graph(shape.s), parts)
-
-
-def quotient_spectral_radius(shape: CliqueJoinShape) -> float:
-    """Exact spectral radius via the equitable partition {core, part_1, ...}.
+def quotient_spectral_radius(shape: Shape) -> float:
+    """Exact rho of a pendant-free shape via its partition {core, part_1, ...}.
 
     The Perron vector is constant on each block: a on the core and b_j on a
     part of size p_j, with (rho - p_j + 1) b_j = s a. Substituting into the
@@ -123,7 +95,9 @@ def quotient_spectral_radius(shape: CliqueJoinShape) -> float:
     rho. Newton from the lower bound s + max(p) - 1 (K_{s+max p} is a
     subgraph) therefore climbs monotonically to the root.
     """
-    s, parts = shape.s, shape.parts
+    if shape.pendant is not None:
+        raise ValueError("the quotient spectral radius needs a shape without a pendant vertex")
+    s, parts = shape.core, shape.parts
     if len(parts) == 1:
         return float(s + parts[0] - 1)
     x = float(s + max(parts) - 1)

@@ -21,12 +21,8 @@ from .graphs import (
     remove_edges,
     vertices_of,
 )
-from .spectral import (
-    CliqueJoinShape,
-    ViolationError,
-    quotient_spectral_radius,
-    spectral_radius,
-)
+from .families import Shape
+from .spectral import ViolationError, quotient_spectral_radius, spectral_radius
 
 STRICT_MARGIN = 1e-10
 PERRON_TIE_TOL = 1e-12
@@ -84,14 +80,14 @@ def check_rotation_increase(g: Graph, spec: RotationSpec) -> RotationCheck:
     x_u, x_v = res.perron[spec.u], res.perron[spec.v]
     if x_u < x_v - PERRON_TIE_TOL:
         return RotationCheck(False, res.rho, None, x_u, x_v, None)
-    star = rotate(g, spec)
-    rho_after = spectral_radius(star).rho
-    if not rho_after > res.rho + STRICT_MARGIN:
+    after = spectral_radius(rotate(g, spec))
+    if not after.rho > res.rho + STRICT_MARGIN:
         raise ViolationError(
-            f"rotation failed to increase rho: {res.rho!r} -> {rho_after!r} "
+            f"rotation failed to increase rho: {res.rho!r} -> {after.rho!r} "
             f"(u={spec.u}, v={spec.v}, moved={vertices_of(spec.moved)})"
         )
-    return RotationCheck(True, res.rho, rho_after, x_u, x_v, is_connected(star))
+    # the Perron vector is positive exactly on a connected graph: no second flood
+    return RotationCheck(True, res.rho, after.rho, x_u, x_v, min(after.perron) > 0)
 
 
 @dataclass(frozen=True)
@@ -142,18 +138,18 @@ def check_join_rebalance(s: int, parts: list[int], p: int) -> RebalanceCheck:
     (n-s-p(t-1), p, ..., p) has strictly larger quotient spectral radius.
     """
     parts = list(parts)
+    shape = Shape(s, tuple(parts))  # checks s and the sizes before parts[0] is read
     t = len(parts)
-    n = s + sum(parts)
     if sorted(parts, reverse=True) != parts:
         raise ValueError("parts must be sorted descending")
     if any(q < p for q in parts):
         raise ValueError("every part must be >= p")
-    big = n - s - p * (t - 1)
+    big = sum(parts) - p * (t - 1)
     if not parts[0] < big:
         raise ValueError("hypothesis needs largest part < n - s - p(t-1)")
-    before = quotient_spectral_radius(CliqueJoinShape(s, tuple(parts)))
+    before = quotient_spectral_radius(shape)
     balanced = (big,) + (p,) * (t - 1)
-    after = quotient_spectral_radius(CliqueJoinShape(s, balanced))
+    after = quotient_spectral_radius(Shape(s, balanced))
     if not before < after - STRICT_MARGIN:
         raise ViolationError(
             f"rebalancing failed to increase rho: {before!r} vs {after!r} "

@@ -12,17 +12,13 @@ from specconn.connectivity import CutMode, CutQuery, min_cut
 from specconn.families import (
     Family,
     FamilyParams,
+    Shape,
     construct,
     feasibility_violations,
     verify_witness,
 )
 from specconn.graphs import complete_graph, degree_profile
-from specconn.spectral import (
-    CliqueJoinShape,
-    assemble_clique_join,
-    quotient_spectral_radius,
-    spectral_radius,
-)
+from specconn.spectral import quotient_spectral_radius, spectral_radius
 from specconn.transforms import (
     check_join_rebalance,
     fuzz_rotation_increase,
@@ -164,13 +160,13 @@ def test_a08_spectral_exactness():
         for parts in [(1,), (4,), (7,), (1, 1), (3, 2), (5, 2), (4, 4), (6, 1),
                       (2, 2, 2), (5, 3, 1), (4, 2, 2), (3, 3, 3), (7, 2, 1),
                       (6, 3, 2), (5, 5, 1), (4, 3, 1), (2, 1, 1), (8, 1)]:
-            shapes.append(CliqueJoinShape(s, parts))
+            shapes.append(Shape(s, parts))
     assert len(shapes) >= 50
     for shape in shapes:
         quotient = quotient_spectral_radius(shape)
-        dense = spectral_radius(assemble_clique_join(shape)).rho
+        dense = spectral_radius(shape.build()).rho
         assert abs(quotient - dense) <= 1e-9, shape
-        assert abs(quotient - dense_rho(assemble_clique_join(shape))) <= 1e-9, shape
+        assert abs(quotient - dense_rho(shape.build())) <= 1e-9, shape
 
     rng = random.Random(321)
     regular_hits = 0

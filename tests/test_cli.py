@@ -121,6 +121,13 @@ def test_transform_rebalance(capsys):
     assert "rho_after" in out
 
 
+def test_transform_rebalance_rejects_empty_parts(capsys):
+    code, out, err = run(["transform", "rebalance", "--s", "1", "--parts", "", "--p", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_transform_fuzz(capsys):
     code, out, _ = run(["transform", "fuzz", "--trials", "25", "--seed", "5", "--max-n", "7"], capsys)
     assert code == 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from specconn.connectivity import CutMode, CutQuery, min_cut
@@ -6,6 +8,7 @@ from specconn.families import (
     Family,
     FamilyParams,
     InfeasibleFamilyError,
+    Shape,
     claimed_extremal,
     construct,
     extremal_family_for,
@@ -14,7 +17,6 @@ from specconn.families import (
     witness_cut,
 )
 from specconn.graphs import degree_profile, graph6_encode, is_isomorphic
-from specconn.spectral import CliqueJoinShape, assemble_clique_join
 
 
 def test_family_ids_cover_cli_names():
@@ -34,8 +36,8 @@ def test_join_vi_matches_assembled_shape():
     g = construct(p)
     assert degree_profile(g).min_degree == 3
     # vertex-for-vertex equality with the assembled join of cliques
-    shape = CliqueJoinShape(2, (4, 2))
-    assert g.adj == assemble_clique_join(shape).adj
+    shape = Shape(2, (4, 2))
+    assert g.adj == shape.build().adj
 
 
 def test_zero_delta_pendant_degrees():
@@ -140,7 +142,7 @@ def test_neighbor_specialization():
     params = claimed_extremal(8, 2, 2, 1, r=2)
     assert params.family is Family.DELTAMG_G and params.r == 2
     g = construct(claimed_extremal(8, 2, 4, 1, r=2))
-    assert is_isomorphic(g, assemble_clique_join(CliqueJoinShape(2, (3, 3))))
+    assert is_isomorphic(g, Shape(2, (3, 3)).build())
     # hypothesis boundary n >= kappa_g + 2(g+1): equality accepted, below rejected
     claimed_extremal(6, 2, 2, 1, r=2)
     with pytest.raises(ValueError):
@@ -164,3 +166,26 @@ def test_self_verification_spot_grid():
         assert graph6_encode(g) == labelled, p
         assert degree_profile(g).min_degree == p.delta, p
         assert min_cut(g, CutQuery(p.g, p.r, CutMode.FULL)).value == p.k, p
+
+
+def test_family_labelling_digest():
+    # pins the graph6 labelling of every feasible family graph on a small grid,
+    # which reports publish; the value predates the Shape layout
+    digest = hashlib.sha256()
+    count = 0
+    for family in Family:
+        for n in range(2, 11):
+            for g in range(4):
+                for r in range(2, 5):
+                    for k in range(1, n):
+                        for delta in range(1, n):
+                            p = FamilyParams(family, n, k, delta, g, r)
+                            if feasibility_violations(p):
+                                continue
+                            line = f"{family.value} {n} {k} {delta} {g} {r} "
+                            digest.update((line + graph6_encode(construct(p)) + "\n").encode())
+                            count += 1
+    assert count == 587
+    assert digest.hexdigest() == (
+        "c42f21bb91af1a24c8bbe0db069d085666acc985aa4f21246adcbfa30756d2a5"
+    )

@@ -11,15 +11,14 @@ from specconn.graphs import (
     disjoint_union,
     empty_graph,
     induced_subgraph,
+    is_connected,
     path_graph,
     permute,
 )
-from specconn.families import Family, FamilyParams, construct
+from specconn.families import Family, FamilyParams, Shape, construct
 from specconn.spectral import (
-    CliqueJoinShape,
     DisconnectedGraphError,
     SpectralResult,
-    assemble_clique_join,
     perron_compare,
     quotient_spectral_radius,
     spectral_radius,
@@ -91,19 +90,19 @@ def test_min_max_degree_bounds(rng):
 
 
 def test_quotient_single_clique():
-    assert quotient_spectral_radius(CliqueJoinShape(0, (8,))) == pytest.approx(7, abs=1e-12)
-    assert quotient_spectral_radius(CliqueJoinShape(3, (5,))) == pytest.approx(7, abs=1e-12)
+    assert quotient_spectral_radius(Shape(0, (8,))) == pytest.approx(7, abs=1e-12)
+    assert quotient_spectral_radius(Shape(3, (5,))) == pytest.approx(7, abs=1e-12)
 
 
 def test_quotient_path_three_vertices():
     # K_1 v (K_1 u K_1) is the path on 3 vertices: lambda^3 - 2 lambda
-    got = quotient_spectral_radius(CliqueJoinShape(1, (1, 1)))
+    got = quotient_spectral_radius(Shape(1, (1, 1)))
     assert got == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
 def test_quotient_agrees_with_dense():
-    got = quotient_spectral_radius(CliqueJoinShape(2, (3, 2)))
-    g = assemble_clique_join(CliqueJoinShape(2, (3, 2)))
+    got = quotient_spectral_radius(Shape(2, (3, 2)))
+    g = Shape(2, (3, 2)).build()
     assert got == pytest.approx(spectral_radius(g).rho, abs=1e-9)
     assert got == pytest.approx(dense_rho(g), abs=1e-9)
 
@@ -112,10 +111,10 @@ def test_quotient_dense_grid():
     shapes = []
     for s in (1, 2, 3):
         for parts in [(4,), (3, 2), (4, 1), (2, 2, 2), (5, 3, 1), (3, 3, 3, 3)]:
-            shapes.append(CliqueJoinShape(s, parts))
+            shapes.append(Shape(s, parts))
     assert len(shapes) >= 15
     for shape in shapes:
-        g = assemble_clique_join(shape)
+        g = shape.build()
         assert quotient_spectral_radius(shape) == pytest.approx(
             spectral_radius(g).rho, abs=1e-9
         ), shape
@@ -124,8 +123,8 @@ def test_quotient_dense_grid():
 def test_quotient_with_several_subdominant_roots():
     # regression: several quotient eigenvalues exceed the min row sum here;
     # naive sign bisection from that bracket lands on the wrong root
-    shape = CliqueJoinShape(1, (9, 8, 4, 3, 3, 3))
-    g = assemble_clique_join(shape)
+    shape = Shape(1, (9, 8, 4, 3, 3, 3))
+    g = shape.build()
     assert quotient_spectral_radius(shape) == pytest.approx(dense_rho(g), abs=1e-9)
 
 
@@ -136,20 +135,37 @@ def test_quotient_fuzz_large_shapes(rng):
         parts = tuple(sorted((rng.randint(1, 9) for _ in range(t)), reverse=True))
         if s + sum(parts) > 64:
             continue
-        shape = CliqueJoinShape(s, parts)
+        shape = Shape(s, parts)
         got = quotient_spectral_radius(shape)
-        assert got == pytest.approx(dense_rho(assemble_clique_join(shape)), abs=1e-9), shape
+        assert got == pytest.approx(dense_rho(shape.build()), abs=1e-9), shape
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        CliqueJoinShape(0, (2, 2))  # disconnected
+        Shape(0, (2, 2))  # disconnected
     with pytest.raises(ValueError):
-        CliqueJoinShape(-1, (2,))
+        Shape(-1, (2,))
     with pytest.raises(ValueError):
-        CliqueJoinShape(1, ())
+        Shape(1, ())
     with pytest.raises(ValueError):
-        CliqueJoinShape(1, (0,))
+        Shape(1, (0,))
+    # the pendant vertex u: isolated, or missing a part of a coreless shape
+    with pytest.raises(ValueError, match="disconnected"):
+        Shape(2, (3,), ())
+    with pytest.raises(ValueError, match="disconnected"):
+        Shape(0, (3, 2, 2), ((1, 1), (2, 1)))
+    # a target block outside 0..t, and a count outside 1..|block|
+    for pendant in [((3, 1),), ((-1, 1),), ((1, 0),), ((1, 4),), ((0, 3),)]:
+        with pytest.raises(ValueError, match="pendant"):
+            Shape(2, (3, 2), pendant)
+    # core 0 is connected when u reaches every part (the zero-delta layout)
+    for shape, order in [(Shape(0, (3, 2, 2), ((1, 2), (2, 1), (3, 1))), 8),
+                         (Shape(0, (3,), ((1, 1),)), 4)]:
+        assert shape.n == shape.build().n == order
+        assert is_connected(shape.build())
+    # the secular equation covers pendant-free shapes only
+    with pytest.raises(ValueError, match="pendant"):
+        quotient_spectral_radius(Shape(2, (3, 2), ((0, 1),)))
 
 
 def test_perron_compare_star():
@@ -214,16 +230,15 @@ def test_vertex_deletion_strictly_decreases_rho(rng):
 
 def test_twin_classes_in_join_families():
     # all vertices of one clique part share the same Perron entry
-    for shape in [CliqueJoinShape(2, (4, 2)), CliqueJoinShape(1, (3, 3, 2)),
-                  CliqueJoinShape(3, (5, 1))]:
-        g = assemble_clique_join(shape)
+    for shape in [Shape(2, (4, 2)), Shape(1, (3, 3, 2)), Shape(3, (5, 1))]:
+        g = shape.build()
         x = spectral_radius(g).perron
-        start = shape.s
+        start = shape.core
         for size in shape.parts:
             part = x[start : start + size]
             assert max(part) - min(part) <= 1e-9
             start += size
-        core = x[: shape.s]
+        core = x[: shape.core]
         if core:
             assert max(core) - min(core) <= 1e-9
 

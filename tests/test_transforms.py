@@ -7,9 +7,11 @@ from specconn.graphs import (
     cycle_graph,
     complete_graph,
     from_edges,
+    is_connected,
     mask_of,
     path_graph,
     remove_edges,
+    vertices_of,
 )
 from specconn.spectral import spectral_radius
 from specconn.transforms import (
@@ -128,12 +130,33 @@ def test_rebalance_example_and_boundary():
 
 def test_rebalance_agrees_with_dense_comparison():
     check = check_join_rebalance(2, [3, 3], 2)
-    from specconn.spectral import CliqueJoinShape, assemble_clique_join
+    from specconn.families import Shape
 
-    before = spectral_radius(assemble_clique_join(CliqueJoinShape(2, (3, 3)))).rho
-    after = spectral_radius(assemble_clique_join(CliqueJoinShape(2, (4, 2)))).rho
+    before = spectral_radius(Shape(2, (3, 3)).build()).rho
+    after = spectral_radius(Shape(2, (4, 2)).build()).rho
     assert check.rho_before == pytest.approx(before, abs=1e-9)
     assert check.rho_after == pytest.approx(after, abs=1e-9)
+
+
+def test_rotation_connectivity_flag_matches_flood():
+    # result_connected is read off the Perron vector's support, not a flood
+    rng = random.Random(34)
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(3, 16)
+        g = random_connected_graph(rng, n)
+        u, v = rng.sample(range(n), 2)
+        movable = g.adj[v] & ~g.adj[u] & ~(1 << u) & ~(1 << v)
+        if not movable:
+            continue
+        pool = vertices_of(movable)
+        chosen = [w for w in pool if rng.random() < 0.6] or [pool[0]]
+        spec = RotationSpec(u, v, mask_of(chosen))
+        check = check_rotation_increase(g, spec)
+        if check.applicable:
+            assert check.result_connected == is_connected(rotate(g, spec)), (g, spec)
+            seen.add(check.result_connected)
+    assert seen == {True, False}
 
 
 def test_rotation_fuzz_small():
@@ -150,8 +173,6 @@ def test_monotonicity_fuzz_small():
 
 
 def test_random_connected_graph_is_connected(rng):
-    from specconn.graphs import is_connected
-
     for _ in range(200):
         assert is_connected(random_connected_graph(rng, rng.randint(2, 12)))
 
