@@ -9,7 +9,8 @@ bitmasks. Mode codes for the cut search: 0 classic, 1 component-count,
 2 good-neighbor, 3 good-neighbor+components; any other code is a
 ValueError. The checks run in one order: n (and the search's order cap),
 then g and r, either of which is a ValueError when negative, then the mode,
-then the rows.
+then the rows. vertices_of, the positions of a mask's set bits read off
+per-byte tables, is the package's one bit decoder: `graphs` exports it.
 
 The cut search does not test candidate sets one at a time. It decides every
 survivor set S = V - F at once. Bit p stands for the set S(p) of the
@@ -79,7 +80,7 @@ stops after one or two entries.
 
 from functools import reduce
 from math import sqrt
-from operator import and_, or_
+from operator import and_, getitem, or_
 
 BACKEND = "pure"
 MAX_N = 64
@@ -88,6 +89,36 @@ SEARCH_MAX_N = 20
 TABLE_BITS = 1 << 15
 
 _tables_cache = {}
+
+
+def _byte_table(low):
+    """The positions of the set bits of each byte value b when b stands for
+    bits low .. low + 7 of a mask."""
+    table = [()]
+    for p in range(low, low + 8):
+        # the values with highest bit p: those below it, with p appended
+        table += [bits + (p,) for bits in table]
+    return table
+
+
+# _BYTE_BITS[i][b]: the positions of the set bits of byte value b when it is
+# byte i of a mask, one 256-entry table for each byte of a 64-bit word
+_BYTE_BITS = [_byte_table(low) for low in range(0, 64, 8)]
+_WORD = (1 << 64) - 1
+
+
+def vertices_of(mask):
+    """The positions of the set bits of a nonnegative int, ascending."""
+    if mask < 256:
+        if mask < 0:
+            raise ValueError(f"mask must be nonnegative, got {mask}")
+        return _BYTE_BITS[0][mask]
+    if mask < 65536:
+        return _BYTE_BITS[0][mask & 255] + _BYTE_BITS[1][mask >> 8]
+    if mask > _WORD:
+        return vertices_of(mask & _WORD) + tuple(p + 64 for p in vertices_of(mask >> 64))
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    return sum(map(getitem, _BYTE_BITS, data), ())
 
 
 def _check_order(n):
@@ -304,29 +335,35 @@ def _replicate(x, b, nbytes):
 def _neighbours(adjs, n):
     """(common, gated) of a batch: common[v] lists the neighbours u of v in
     every graph, and gated[v] pairs each neighbour u of v in only some graphs
-    with the blocks of those graphs."""
+    with the blocks of those graphs, by ascending u.
+
+    The rows are symmetric, so the gate of (v, u) is that of (u, v): it is
+    built once, at the lesser of the two, and handed to the greater."""
     full = (1 << n) - 1
     if len(adjs) == 1:
         adj = adjs[0]
-        return [_bit_positions(adj[v] & full) for v in range(n)], [()] * n
+        return [vertices_of(adj[v] & full) for v in range(n)], [()] * n
     step = _block_bits(n)
     nbytes = step >> 3
     rep = _replicate(1, len(adjs), nbytes)
-    common, gated = [], []
+    common = []
+    # gated[v] already holds the gates of its lesser neighbours when v comes
+    gated = [[] for _ in range(n)]
     for v in range(n):
         rows = [adj[v] & full for adj in adjs]
         every = reduce(and_, rows)
-        some = reduce(or_, rows) & ~every
-        common.append(_bit_positions(every))
-        gates = []
-        if some:
+        common.append(vertices_of(every))
+        # the neighbours above v in only some graphs
+        later = reduce(or_, rows) & ~every & -(1 << v)
+        if later:
             packed = int.from_bytes(
                 b"".join([row.to_bytes(nbytes, "little") for row in rows]), "little"
             )
-            for u in _bit_positions(some):
+            for u in vertices_of(later):
                 has = packed >> u & rep
-                gates.append((u, (has << step) - has))
-        gated.append(gates)
+                gate = (has << step) - has
+                gated[v].append((u, gate))
+                gated[u].append((v, gate))
     return common, gated
 
 
@@ -437,11 +474,11 @@ def power_iteration(adj, n, comp_mask, tol, max_iter, /):
     if size == 1:
         return 0.0, [1.0], 0, 0.0, True
     if size == n:
-        nbrs = [_bit_positions(adj[v] & comp_mask) for v in range(n)]
+        nbrs = [vertices_of(adj[v] & comp_mask) for v in range(n)]
     else:
-        vs = _bit_positions(comp_mask)
+        vs = vertices_of(comp_mask)
         index = {v: i for i, v in enumerate(vs)}
-        nbrs = [[index[w] for w in _bit_positions(adj[v] & comp_mask)] for v in vs]
+        nbrs = [[index[w] for w in vertices_of(adj[v] & comp_mask)] for v in vs]
     rows = list(enumerate(nbrs))
     x = [1.0 / sqrt(size)] * size
     z = [0.0] * size
@@ -494,12 +531,3 @@ def _residual(z, x, rho):
         if d > resid:
             resid = d
     return resid
-
-
-def _bit_positions(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out

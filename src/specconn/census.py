@@ -19,20 +19,44 @@ canonical positions, so an isomorphism G -> H followed by a suitable
 automorphism of H maps c(G) to c(H): isomorphisms carry canonical deletion
 orbits onto each other.
 
-The test rejects G without a search when a non-cut vertex beats v on the
-invariant. It accepts G without one when every other candidate is a twin of
-v (equal neighbourhoods apart from each other): swapping twins is an
-automorphism, so all candidates then share v's orbit. Otherwise one search
-gives both the canonical order and the generators the orbit is read from.
+The whole invariant is decided on the parent, before G is built. A vertex
+u of P has degree deg_P(u) + [u in S] in G = P + S, and is a non-cut vertex
+of G iff S meets every component of P - u (`split`). The vertices are
+visited by descending degree, so that one beating v is met first, up to the
+first whose degree in G cannot reach |S|. Among the non-cut vertices tied
+with v, the rest of the invariant is compared in stages, from P's degrees
+deg, sums nsum of the neighbours' degrees and doubled triangle counts tri2,
+each computed once per parent. For u != v, with N = N_P(u):
 
-The degree step is decided on the parent, before G is built. A vertex u of
-P has degree deg_P(u) + [u in S] in G = P + S, and is a non-cut vertex of G
-iff S meets every component of P - u (`split`). The vertices are visited by
-descending degree, so that one beating v is met first, up to the first
-whose degree in G cannot reach |S|, and only the children that none beats
-are built. Their invariant is then compared in
-stages: the sums of the neighbours' degrees among the vertices tied with v
-on degree, and the triangles only among those still tied.
+    nsum_G(u) = nsum_P(u) + |N & S| + [u in S] |S|
+    nsum_G(v) = sum over w in S of (deg_P(w) + 1)
+    tri2_G(u) = tri2_P(u) + [u in S] 2 |N & S|
+    tri2_G(v) = sum over w in S of |N_P(w) & S|
+
+since u's neighbours in S gain v as a neighbour, and u gains v, of degree
+|S|, exactly when u is in S; and the new triangles at u are u v w for the w
+in N & S, those at v one per edge within S. The triangles are compared
+only among the vertices still tied on nsum. Only children that no non-cut
+vertex beats are built, each with its candidates: v and the non-cut
+vertices equal to it on the whole invariant.
+
+The test then decides most children without a search, from the root
+coloring of G's canonical search (`graphs._root_colors`): degree ranks
+refined to the coarsest equitable coloring.
+
+- Every other candidate is a twin of v (equal neighbourhoods apart from
+  each other): swapping twins is an automorphism, so all candidates share
+  v's orbit. Keep.
+- Otherwise let C be the lowest root cell that holds a candidate. Neither
+  refinement nor individualization reorders cells (`graphs`), so the
+  canonical order lists every vertex of a lower root cell before every
+  vertex of a higher one, and c(G), the candidate at the least position,
+  lies in C. Automorphisms preserve the root coloring, so c(G)'s orbit lies
+  within C: if v is not in C, v is not in that orbit. Reject.
+- If v is in C and every other candidate in C is a twin of v, c(G) is v
+  or a twin of v, and the swap puts v in c(G)'s orbit. Keep.
+- Otherwise one search, started from the root coloring already computed,
+  gives both the canonical order and the generators the orbit is read from.
 
 Most subsets are never tried: the degree floor. A non-cut vertex u of P is
 a non-cut vertex of P + S whenever S is not within {u}, since S then meets
@@ -78,6 +102,7 @@ from .graphs import (
     Graph,
     GraphFormatError,
     _canonical_adj,
+    _root_colors,
     _trusted,
     _twins,
     components,
@@ -147,15 +172,20 @@ def _degree_survivors(
     parent: Graph, generators: list[tuple[int, ...]]
 ) -> list[tuple[int, list[int]]]:
     """(S, tied) for each orbit-least S, ascending, whose child P + S has no
-    non-cut vertex of larger degree than the new vertex v; tied lists v and
-    then the non-cut vertices of equal degree.
+    non-cut vertex beating the new vertex v on the invariant; tied lists v
+    and then the non-cut vertices equal to it on the whole invariant.
 
     Decided on the parent: a vertex u of the child has degree
     deg_P(u) + [u in S], and is a non-cut vertex iff S meets every
-    component of P - u. Sizes below the floor are never tried.
+    component of P - u. Sizes below the floor are never tried. The sums of
+    the neighbours' degrees and the triangles follow from P's own
+    (`_nsum_keys`, `_tri2_keys`).
     """
     m = parent.n
-    degree = [row.bit_count() for row in parent.adj]
+    adj = parent.adj
+    degree = [row.bit_count() for row in adj]
+    nsum = [sum(map(degree.__getitem__, vertices_of(row))) for row in adj]
+    tri2 = [sum([(row & adj[w]).bit_count() for w in vertices_of(row)]) for row in adj]
     split = [components(parent, 1 << u) for u in range(m)]
     # non-cut vertices of P: P - u is connected (or empty)
     noncut = [d for d, parts in zip(degree, split) if len(parts) <= 1]
@@ -169,6 +199,8 @@ def _degree_survivors(
     survivors = []
     for smask in _orbit_minima(generators, m, sizes):
         tied = _degree_ties(smask, ranked, m)
+        if tied is not None and len(tied) > 1:
+            tied = _invariant_ties(smask, tied, adj, nsum, tri2)
         if tied is not None:
             survivors.append((smask, tied))
     return survivors
@@ -199,30 +231,76 @@ def _degree_ties(
     return tied
 
 
+def _invariant_ties(
+    smask: int, tied: list[int], adj: tuple[int, ...], nsum: list[int], tri2: list[int]
+) -> list[int] | None:
+    """tied (v first) narrowed to the vertices equal to v on the sum of the
+    neighbours' degrees, then on twice the triangles, in P + S; None when
+    one beats v. The triangles are compared only among those still tied."""
+    for keys, base in ((_nsum_keys, nsum), (_tri2_keys, tri2)):
+        if len(tied) == 1:
+            break
+        key = keys(smask, tied, adj, base)
+        if key[0] < max(key):
+            return None
+        tied = [u for u, k in zip(tied, key) if k == key[0]]
+    return tied
+
+
+def _nsum_keys(
+    smask: int, tied: list[int], adj: tuple[int, ...], nsum: list[int]
+) -> list[int]:
+    """The sum of the neighbours' degrees in P + S of v = tied[0] and of
+    each vertex of P in tied[1:], from P's rows and sums nsum."""
+    size = smask.bit_count()
+    keys = [sum([adj[w].bit_count() for w in vertices_of(smask)]) + size]
+    for u in tied[1:]:
+        key = nsum[u] + (adj[u] & smask).bit_count()
+        if smask >> u & 1:
+            key += size
+        keys.append(key)
+    return keys
+
+
+def _tri2_keys(
+    smask: int, tied: list[int], adj: tuple[int, ...], tri2: list[int]
+) -> list[int]:
+    """Twice the triangles in P + S at v = tied[0] and at each vertex of P
+    in tied[1:], from P's rows and doubled triangle counts tri2."""
+    keys = [sum([(adj[w] & smask).bit_count() for w in vertices_of(smask)])]
+    for u in tied[1:]:
+        key = tri2[u]
+        if smask >> u & 1:
+            key += 2 * (adj[u] & smask).bit_count()
+        keys.append(key)
+    return keys
+
+
 def _is_canonical_augmentation(
     child: Graph, tied: list[int]
 ) -> tuple[bool, list[tuple[int, ...]] | None]:
     """Whether the last vertex v lies in the canonical deletion orbit, and
     the generators of Aut(child) when the test ran a search (else None).
 
-    tied lists v and then the non-cut vertices of equal degree, none of
-    larger degree (`_degree_survivors`). The rest of the invariant is
-    compared in stages, the triangles only among vertices still tied.
+    tied lists v and then the deletion candidates: the non-cut vertices
+    equal to v on the whole invariant, none larger (`_degree_survivors`).
+    Twins, then the lowest root cell among the candidates, decide most
+    children without a search.
     """
     adj = child.adj
     v = child.n - 1
-    for stage in (_neighbour_degrees, _triangles):
-        if len(tied) == 1:
-            break
-        key = [stage(adj, u) for u in tied]
-        if key[0] < max(key):
-            return False, None
-        tied = [u for u, k in zip(tied, key) if k == key[0]]
     if all(_twins(adj, u, v) for u in tied[1:]):
         return True, None
+    root = _root_colors([vertices_of(row) for row in adj])
+    low = min(root[u] for u in tied)
+    if root[v] != low:
+        return False, None
+    cell = [u for u in tied if root[u] == low]
+    if all(_twins(adj, u, v) for u in cell[1:]):
+        return True, None
     generators: list[tuple[int, ...]] = []
-    _, order = _canonical_adj(child, generators)
-    first = next(u for u in order if u in tied)
+    _, order = _canonical_adj(child, generators, root)
+    first = next(u for u in order if u in cell)
     orbit = {first}
     stack = [first]
     while stack:
@@ -234,19 +312,6 @@ def _is_canonical_augmentation(
     return v in orbit, generators
 
 
-def _neighbour_degrees(adj: tuple[int, ...], u: int) -> int:
-    """Sum of the degrees of u's neighbours: the walks of length 2 from u,
-    counted by their last vertex."""
-    row = adj[u]
-    return sum([(row & other).bit_count() for other in adj])
-
-
-def _triangles(adj: tuple[int, ...], u: int) -> int:
-    """Twice the triangles at u."""
-    row = adj[u]
-    return sum((row & adj[w]).bit_count() for w in vertices_of(row))
-
-
 def _orbit_minima(
     generators: list[tuple[int, ...]], m: int, sizes: int = -1
 ) -> list[int]:
@@ -255,6 +320,9 @@ def _orbit_minima(
     s of `sizes` set are kept; orbits preserve size, so the rest is a
     subsequence of the unfiltered list."""
     size = 1 << m
+    if not generators:
+        # every orbit is one subset
+        return [smask for smask in range(1, size) if sizes >> smask.bit_count() & 1]
     images = []
     for perm in generators:
         # image[mask] for the masks below 2^(i+1), from those below 2^i

@@ -74,7 +74,8 @@ class Shape:
     """A connected K_core v (K_{p1} u ... u K_{pt}), possibly with a pendant u.
 
     pendant is None when there is no u; otherwise each target (block, count)
-    joins u to the first count vertices of block 0 (the core) or part j.
+    joins u to the first count vertices of block 0 (the core) or part j, and
+    no two targets name one block.
     """
 
     core: int
@@ -91,8 +92,11 @@ class Shape:
             if not (0 <= block < len(sizes) and 1 <= count <= sizes[block]):
                 raise ValueError(f"pendant target {(block, count)} needs a block in "
                                  f"0..{len(sizes) - 1} and a count in 1..its size")
-        # u isolated, or no core to link the parts and a part u misses
+        # one target per block: (1, 1), (1, 2) would be a second name for (1, 2)
         reached = {block for block, _ in self.pendant or ()}
+        if len(reached) < len(self.pendant or ()):
+            raise ValueError(f"pendant targets {self.pendant} name a block twice")
+        # u isolated, or no core to link the parts and a part u misses
         if self.pendant == () or self.core == 0 and len(self.parts) > max(1, len(reached)):
             raise ValueError("shape is disconnected")
 

@@ -16,6 +16,7 @@ from operator import getitem, lshift
 from typing import Iterable, Iterator, NamedTuple
 
 from . import kernels
+from ._kernels_py import vertices_of
 
 MAX_VERTICES = 64
 CANON_MAX_VERTICES = 12
@@ -26,22 +27,14 @@ class GraphFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# vertex-set helpers (a VertexSet is a plain int bitmask)
+# vertex-set helpers (a VertexSet is a plain int bitmask); vertices_of, the
+# ascending members of a mask, is the pure kernels' table-driven decoder
 
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def vertices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +415,12 @@ def degree_profile(g: Graph) -> DegreeProfile:
 # The leaf with the minimal relabeled adjacency tuple defines the canonical
 # labeling. Exact for the documented range n <= 12.
 #
+# Refinement ranks on (own color, ...) and individualization gives v the
+# color 2c - 1, between 2(c - 1) and 2c, so neither reorders the cells: a
+# vertex of a lower cell of the root coloring (_root_colors) has a lower
+# canonical position. The root coloring is computed from the graph alone,
+# so every automorphism preserves it.
+#
 # The same search yields generators of the automorphism group. Two leaves
 # with equal relabeled adjacency differ by an automorphism, and every skipped
 # twin pair is a transposition. Each leaf equivalent to the minimal one is
@@ -478,8 +477,17 @@ def _refine(nbrs: list[tuple[int, ...]], colors: list[int]) -> list[int]:
         classes = len(order)
 
 
+def _root_colors(nbrs: list[tuple[int, ...]]) -> list[int]:
+    """The search's root coloring: degree ranks, refined to the coarsest
+    equitable coloring."""
+    degree_rank = sorted(set(map(len, nbrs)))
+    return _refine(nbrs, [degree_rank.index(len(nb)) for nb in nbrs])
+
+
 def _canonical_adj(
-    g: Graph, automorphisms: list[tuple[int, ...]] | None = None
+    g: Graph,
+    automorphisms: list[tuple[int, ...]] | None = None,
+    root: list[int] | None = None,
 ) -> tuple[tuple[int, ...], list[int]]:
     """Canonically relabeled adjacency of g, and the canonical order.
 
@@ -487,7 +495,8 @@ def _canonical_adj(
     becomes vertex p of the relabeled graph. When a list is passed as
     `automorphisms`, generators of the automorphism group of g are appended
     to it, each a tuple `perm` that maps vertex v to perm[v]; the identity is
-    never among them.
+    never among them. `root`, when given, is g's root coloring as
+    `_root_colors` computed it, which the search then does not recompute.
     """
     n, adj = g.n, g.adj
     nbrs = [vertices_of(row) for row in adj]
@@ -509,7 +518,7 @@ def _canonical_adj(
             found.add(tuple(map(best_order.__getitem__, pos)))
 
     def descend(colors: list[int]) -> None:
-        colors = _refine(nbrs, colors)
+        # colors is equitable: the root, or an individualized one refined
         ranked = sorted(colors)
         cell = next((a for a, b in zip(ranked, ranked[1:]) if a == b), None)
         if cell is None:
@@ -529,10 +538,9 @@ def _canonical_adj(
             reps.append(v)
             child = [2 * c for c in colors]
             child[v] -= 1
-            descend(child)
+            descend(_refine(nbrs, child))
 
-    degree_rank = sorted(set(map(len, nbrs)))
-    descend([degree_rank.index(len(nb)) for nb in nbrs])
+    descend(_root_colors(nbrs) if root is None else root)
     if automorphisms is not None:
         automorphisms.extend(sorted(found))
     return best, best_order

@@ -172,6 +172,56 @@ def _loop_graph_check(n: int, adj) -> None:
                 raise ValueError(f"asymmetric adjacency between {v} and {w}")
 
 
+def _loop_vertices_of(mask: int) -> tuple[int, ...]:
+    """Reference bit decoder: the lowest set bit, one at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _pairwise_neighbours(adjs, n: int):
+    """Reference _kernels_py._neighbours of a batch of two or more graphs:
+    each gate of (v, u) built on its own, from v's rows."""
+    full = (1 << n) - 1
+    step = max(1 << n, 8)
+    nbytes = step >> 3
+    rep = int.from_bytes((1).to_bytes(nbytes, "little") * len(adjs), "little")
+    common, gated = [], []
+    for v in range(n):
+        rows = [adj[v] & full for adj in adjs]
+        every = some = rows[0]
+        for row in rows[1:]:
+            every &= row
+            some |= row
+        some &= ~every
+        common.append(_loop_vertices_of(every))
+        packed = int.from_bytes(
+            b"".join([row.to_bytes(nbytes, "little") for row in rows]), "little"
+        )
+        gates = []
+        for u in _loop_vertices_of(some):
+            has = packed >> u & rep
+            gates.append((u, (has << step) - has))
+        gated.append(gates)
+    return common, gated
+
+
+def _neighbour_degrees(adj: tuple[int, ...], u: int) -> int:
+    """Reference sum of the degrees of u's neighbours, from the rows: the
+    walks of length 2 from u, counted by their last vertex."""
+    row = adj[u]
+    return sum([(row & other).bit_count() for other in adj])
+
+
+def _triangles(adj: tuple[int, ...], u: int) -> int:
+    """Reference twice the triangles at u, from the rows."""
+    row = adj[u]
+    return sum((row & adj[w]).bit_count() for w in _loop_vertices_of(row))
+
+
 def _edge_list_connected_graph(rng: random.Random, n: int) -> Graph:
     """Reference transforms.random_connected_graph: the same rng calls in the
     same order, the graph built from an edge list."""

@@ -18,6 +18,7 @@ from specconn.graphs import (
     is_connected,
     vertices_of,
 )
+from conftest import _neighbour_degrees, _triangles
 
 
 def _brute_force_connected_count(n: int) -> int:
@@ -147,11 +148,12 @@ def test_census_canonical_forms_pinned(n):
 def test_generation_tries_one_subset_per_orbit(monkeypatch):
     # each level considers one child per subset orbit of each parent (the
     # Burnside count: 3,771 at level 7, not 112 * 63), but builds only the
-    # children that no non-cut vertex beats on degree: the degree floor
-    # skips the smaller orbits and the parent-side degree test most of the
-    # rest, so 1,157 and 16,444 children are built. A child is searched at
-    # most once, and only when the invariant leaves it tied with a
-    # non-twin for deletion. A kept child's search also gives its
+    # children that no non-cut vertex beats on the invariant: the degree
+    # floor skips the smaller orbits, and the parent-side stages (degree,
+    # then the neighbours' degree sums, then the triangles) most of the
+    # rest, so 874 and 11,537 children are built. A child is searched at
+    # most once, and only when v shares the lowest root cell of the
+    # candidates with a non-twin. A kept child's search also gives its
     # generators as a parent when its level is generated for the next one,
     # so no graph is searched twice. Every search is counted, through
     # graphs.canonical_form too
@@ -174,10 +176,10 @@ def test_generation_tries_one_subset_per_orbit(monkeypatch):
         finally:
             judging = False
 
-    def search(g, automorphisms=None):
+    def search(g, automorphisms=None, root=None):
         searched[g.n, g.adj] += 1
         (child_searches if judging else parent_searches)[g.n] += 1
-        return real_search(g, automorphisms)
+        return real_search(g, automorphisms, root)
 
     monkeypatch.setattr(census, "_is_canonical_augmentation", judge)
     monkeypatch.setattr(census, "_canonical_adj", search)
@@ -185,11 +187,11 @@ def test_generation_tries_one_subset_per_orbit(monkeypatch):
     # level 7 is generated here as the parents of level 8
     assert len(connected_census(8)) == CONNECTED_COUNTS[8]
     assert set(searched.values()) == {1}
-    assert built == {7: 1157, 8: 16444}
-    assert child_searches == {7: 157, 8: 1873}
+    assert built == {7: 874, 8: 11537}
+    assert child_searches == {7: 120, 8: 1086}
     # level 6 was generated on its own, so all 112 of its members are
-    # searched as parents; 136 of level 7's 853 reuse their child search
-    assert parent_searches == {6: 112, 7: 853 - 136}
+    # searched as parents; 120 of level 7's 853 reuse their child search
+    assert parent_searches == {6: 112, 7: 853 - 120}
     # reused generators give the same children in the same order
     for n in (7, 8):
         lines = "\n".join(graph6_encode(g) for g in connected_census(n))
@@ -256,6 +258,64 @@ def test_kept_children_match_the_definition():
                 if _reference_keeps(child):
                     expected.append(child)
         assert connected_census(m + 1) == expected
+
+
+def _child_rows(parent: Graph, smask: int) -> tuple[int, ...]:
+    """The rows of P + S, the new vertex last."""
+    m = parent.n
+    rows = [row | 1 << m if smask >> u & 1 else row for u, row in enumerate(parent.adj)]
+    return (*rows, smask)
+
+
+def _with_generators(m: int):
+    """(parent, its Aut generators) for every census parent of order m."""
+    for parent in connected_census(m):
+        generators: list = []
+        graphs._canonical_adj(parent, generators)
+        yield parent, generators
+
+
+def test_parent_side_keys_match_the_child():
+    # the neighbours' degree sums and doubled triangle counts of P + S, at v
+    # and at every vertex of P, follow from P's own rows and sums
+    for m in range(1, 8):
+        everyone = [m, *range(m)]
+        for parent, generators in _with_generators(m):
+            adj = parent.adj
+            nsum = [_neighbour_degrees(adj, u) for u in range(m)]
+            tri2 = [_triangles(adj, u) for u in range(m)]
+            for smask in census._orbit_minima(generators, m):
+                rows = _child_rows(parent, smask)
+                assert census._nsum_keys(smask, everyone, adj, nsum) == [
+                    _neighbour_degrees(rows, u) for u in everyone
+                ]
+                assert census._tri2_keys(smask, everyone, adj, tri2) == [
+                    _triangles(rows, u) for u in everyone
+                ]
+
+
+def test_parent_side_stages_leave_the_deletion_candidates():
+    # for every orbit-least S of every parent of order <= 6, S passes the
+    # degree floor and the parent-side stages iff no non-cut vertex of
+    # P + S beats v on (degree, neighbours' degree sum, twice the
+    # triangles), and its tied list is then v and the others equal to v
+    for m in range(1, 7):
+        for parent, generators in _with_generators(m):
+            survivors = dict(census._degree_survivors(parent, generators))
+            for smask in census._orbit_minima(generators, m):
+                child = Graph(m + 1, _child_rows(parent, smask))
+                keys = {
+                    u: (child.degree(u), _neighbour_degrees(child.adj, u),
+                        _triangles(child.adj, u))
+                    for u in range(m + 1)
+                    if len(components(child, 1 << u)) <= 1
+                }
+                if max(keys.values()) > keys[m]:
+                    assert smask not in survivors
+                else:
+                    tied = survivors[smask]
+                    assert tied[0] == m
+                    assert sorted(tied) == [u for u in sorted(keys) if keys[u] == keys[m]]
 
 
 def test_ingest_round_trip(tmp_path):

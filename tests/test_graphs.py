@@ -27,7 +27,30 @@ from specconn.graphs import (
     permute,
     vertices_of,
 )
-from conftest import _brute_canonical_adj, _loop_graph_check, random_graph
+from specconn import _kernels_py
+from conftest import _brute_canonical_adj, _loop_graph_check, _loop_vertices_of, random_graph
+
+
+def test_vertices_of_matches_loop_decoder(rng):
+    # one table-driven decoder serves graphs and the pure kernels; it gives
+    # the lowest-bit loop's tuple for every mask below 2^16, random 64-bit
+    # masks, and masks past 64 bits
+    assert vertices_of is _kernels_py.vertices_of
+    for mask in range(1 << 16):
+        assert vertices_of(mask) == _loop_vertices_of(mask)
+    for bits in (17, 24, 63, 64, 65, 130, 300):
+        for _ in range(500):
+            mask = rng.getrandbits(bits)
+            assert vertices_of(mask) == _loop_vertices_of(mask)
+    for mask in (1 << 63, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, 1 << 200):
+        assert vertices_of(mask) == _loop_vertices_of(mask)
+
+
+def test_vertices_of_rejects_negative_masks():
+    # the lowest-bit loop never ends on a negative int
+    for mask in (-1, -2, -256, -(1 << 64), -(1 << 70) + 5):
+        with pytest.raises(ValueError, match="nonnegative"):
+            vertices_of(mask)
 
 
 def test_graph_validation():

@@ -18,7 +18,7 @@ from specconn.census import connected_census
 from specconn.connectivity import CutMode, CutQuery, min_cut
 from specconn.graphs import complete_graph, path_graph
 from specconn.spectral import iteration_cap
-from conftest import _brute_min_cut, _loop_power_iteration, random_graph
+from conftest import _brute_min_cut, _loop_power_iteration, _pairwise_neighbours, random_graph
 
 TOP_BIT = 1 << 63
 
@@ -158,6 +158,24 @@ def test_min_cut_search_many_mixes_members_and_non_members(compiled, rng):
         assert mixed >= 2
     assert all(_brute_min_cut(adj, 11, 1, 2, 3) == cut
                for adj, cut in zip(adjs, _kernels_py.min_cut_search_many(adjs, 11, 1, 2, 3)))
+
+
+def test_batch_gates_are_built_once_per_pair(rng):
+    # the gate of (v, u) is that of (u, v): built once and shared, with the
+    # same common neighbours and the same gates, in the same order, as
+    # building each from v's rows
+    census = connected_census(8)
+    batches = [rng.sample(census, 128) for _ in range(3)]
+    batches += [[random_graph(rng, n, rng.random()) for _ in range(rng.randrange(2, 40))]
+                for n in (3, 5, 11) for _ in range(3)]
+    for batch in batches:
+        n = batch[0].n
+        adjs = [h.adj for h in batch]
+        common, gated = _kernels_py._neighbours(adjs, n)
+        assert (common, gated) == _pairwise_neighbours(adjs, n)
+        for v, gates in enumerate(gated):
+            for u, gate in gates:
+                assert any(w == v and other is gate for w, other in gated[u])
 
 
 def test_min_cut_search_many_rejects_bad_input(compiled):

@@ -158,6 +158,10 @@ def test_shape_validation():
     for pendant in [((3, 1),), ((-1, 1),), ((1, 0),), ((1, 4),), ((0, 3),)]:
         with pytest.raises(ValueError, match="pendant"):
             Shape(2, (3, 2), pendant)
+    # one block named twice: the same graph as Shape(2, (3, 2), ((1, 2),))
+    for pendant in [((1, 1), (1, 2)), ((0, 1), (2, 1), (0, 1))]:
+        with pytest.raises(ValueError, match="twice"):
+            Shape(2, (3, 2), pendant)
     # core 0 is connected when u reaches every part (the zero-delta layout)
     for shape, order in [(Shape(0, (3, 2, 2), ((1, 2), (2, 1), (3, 1))), 8),
                          (Shape(0, (3,), ((1, 1),)), 4)]:
