@@ -8,10 +8,11 @@
  * one is the reference both searches are tested against, and cut_valid_c
  * below serves only this search. Adjacency is a sequence of n neighbour
  * bitmasks and vertex sets are bitmasks, held here as uint64_t, so
- * 1 <= n <= 64. Mode codes for the cut search: 0 classic, 1 component-count,
- * 2 good-neighbor, 3 good-neighbor+components; any other code is a
- * ValueError, and so is a negative g or r. min_cut_search_many is a loop over the same search; only the
- * pure kernel decides a batch in shared tables.
+ * 1 <= n <= 64. The cut mode codes are connectivity.CutMode's, 0..3, whose
+ * docstring states what their two bits mean; read_search decodes them once
+ * per call. Any other code is a ValueError, and so is a negative g or r.
+ * min_cut_search_many is a loop over the same search; only the pure kernel
+ * decides a batch in shared tables.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -199,35 +200,24 @@ count_components(const uint64_t *rows, uint64_t surv, int stop_at)
     return count;
 }
 
-/* Whether deleting fmask is a valid cut in the given mode: the predicate of
- * _kernels_py.cut_valid, kept here only for search. */
+/* Whether deleting fmask is a cut of a search that read_search decoded to
+ * g and r: fewer than r survivors, or every survivor keeping g neighbours
+ * and >= r components. Only the sizes of a search without mode bit 1 leave
+ * fewer than r survivors. */
 static int
-cut_valid_c(const uint64_t *rows, int n, uint64_t fmask, int g, int r, int mode)
+cut_valid_c(const uint64_t *rows, int n, uint64_t fmask, int g, int r)
 {
     uint64_t surv = full_mask(n) & ~fmask;
     uint64_t f;
-    int need;
-    if (mode == 0) {
-        if (POPCOUNT64(surv) == 1)
-            return 1;
-        return surv != 0 && count_components(rows, surv, 2) >= 2;
-    }
-    if (mode == 1) {
-        if (POPCOUNT64(surv) < r)
-            return 1;
-        return count_components(rows, surv, r) >= r;
-    }
-    /* good-neighbor modes require a nonempty proper cut */
-    if (fmask == 0 || surv == 0)
-        return 0;
+    if (POPCOUNT64(surv) < r)
+        return 1;
     if (g > 0) {
         for (f = surv; f; f &= f - 1) {
             if (POPCOUNT64(rows[CTZ64(f)] & surv) < g)
                 return 0;
         }
     }
-    need = mode == 2 ? 2 : r;
-    return count_components(rows, surv, need) >= need;
+    return count_components(rows, surv, r) >= r;
 }
 
 static PyObject *
@@ -257,61 +247,71 @@ components_masks(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return out;
 }
 
+/* A cut search as read_search decodes it: the order, g and r as the mode
+ * bits leave them, and the cut sizes lo .. hi - 1. */
+struct query {
+    int n, g, r, lo, hi;
+};
+
 /* Read the n, g, r and mode of a cut search, in that order: n in
  * 1..SEARCH_MAX_N, g and r >= 0 and clamped by as_threshold, then mode in
- * 0..3; returns -1 with an exception set. */
+ * 0..3; then decode the mode's two bits into q, as _kernels_py._decode
+ * does. Returns -1 with an exception set. */
 static int
-read_search(PyObject *const *a, int *n, int *g, int *r, int *mode)
+read_search(PyObject *const *a, struct query *q)
 {
-    long code;
-    if (read_order(a[0], n) < 0)
+    long mode;
+    if (read_order(a[0], &q->n) < 0)
         return -1;
-    if (*n > SEARCH_MAX_N) {
+    if (q->n > SEARCH_MAX_N) {
         PyErr_Format(PyExc_ValueError,
                      "exhaustive cut search is capped at %d vertices, got n = %d",
-                     SEARCH_MAX_N, *n);
+                     SEARCH_MAX_N, q->n);
         return -1;
     }
-    if (as_threshold(a[1], "g", g) < 0 || as_threshold(a[2], "r", r) < 0)
+    if (as_threshold(a[1], "g", &q->g) < 0 || as_threshold(a[2], "r", &q->r) < 0)
         return -1;
-    code = PyLong_AsLong(a[3]);
-    if (code == -1 && PyErr_Occurred())
+    mode = PyLong_AsLong(a[3]);
+    if (mode == -1 && PyErr_Occurred())
         return -1;
-    if (code < 0 || code > 3) {
-        PyErr_Format(PyExc_ValueError, "mode must be in 0..3, got %ld", code);
+    if (mode < 0 || mode > 3) {
+        PyErr_Format(PyExc_ValueError, "mode must be in 0..3, got %ld", mode);
         return -1;
     }
-    *mode = (int)code;
+    if (!(mode & 1))
+        q->r = 2;
+    if (!(mode & 2)) {
+        q->g = 0;
+        q->lo = 0;
+        q->hi = q->n + 1;
+        return 0;
+    }
+    /* every survivor keeps g neighbours, so each of the >= r components has
+     * >= g + 1 vertices: no cut exceeds n - r*(g+1). As clamped, g and r
+     * are at most SEARCH_MAX_N + 1, so the product fits in an int. */
+    q->lo = 1;
+    q->hi = q->n - q->r * (q->g + 1) + 1;
+    if (q->hi > q->n)
+        q->hi = q->n;
     return 0;
 }
 
 /* First valid cut of least size in lexicographic order, or -1. */
 static int64_t
-search(const uint64_t *rows, int n, int g, int r, int mode)
+search(const uint64_t *rows, const struct query *q)
 {
     uint64_t fmask;
-    int lo, hi, size, i, j;
+    int n = q->n, size, i, j;
     int c[MAX_N + 1];
-    long long cap;
-    lo = (mode == 0 || mode == 1) ? 0 : 1;
-    hi = mode == 1 ? n + 1 : n;
-    if (mode == 2 || mode == 3) {
-        /* every survivor keeps g neighbours, so each of the >= need
-         * components has >= g + 1 vertices: no cut exceeds n - need*(g+1).
-         * In 64 bits the product of two ints cannot overflow. */
-        cap = (long long)n - (long long)(mode == 2 ? 2 : r) * ((long long)g + 1) + 1;
-        if (cap < hi)
-            hi = cap < lo ? lo : (int)cap;
-    }
     /* subsets of each size in lexicographic order, as itertools.combinations */
-    for (size = lo; size < hi; size++) {
+    for (size = q->lo; size < q->hi; size++) {
         for (i = 0; i < size; i++)
             c[i] = i;
         for (;;) {
             fmask = 0;
             for (i = 0; i < size; i++)
                 fmask |= (uint64_t)1 << c[i];
-            if (cut_valid_c(rows, n, fmask, g, r, mode))
+            if (cut_valid_c(rows, n, fmask, q->g, q->r))
                 return (int64_t)fmask;
             for (i = size - 1; i >= 0 && c[i] == n - size + i; i--)
                 ;
@@ -329,11 +329,11 @@ static PyObject *
 min_cut_search(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     uint64_t rows[MAX_N];
-    int n, g, r, mode;
-    if (check_arity("min_cut_search", nargs, 5, 5) < 0
-        || read_search(args + 1, &n, &g, &r, &mode) < 0 || read_rows(args[0], n, rows) < 0)
+    struct query q;
+    if (check_arity("min_cut_search", nargs, 5, 5) < 0 || read_search(args + 1, &q) < 0
+        || read_rows(args[0], q.n, rows) < 0)
         return NULL;
-    return PyLong_FromLongLong(search(rows, n, g, r, mode));
+    return PyLong_FromLongLong(search(rows, &q));
 }
 
 static PyObject *
@@ -341,10 +341,9 @@ min_cut_search_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *seq, *out, *item;
     uint64_t rows[MAX_N];
-    int n, g, r, mode;
+    struct query q;
     Py_ssize_t i, count;
-    if (check_arity("min_cut_search_many", nargs, 5, 5) < 0
-        || read_search(args + 1, &n, &g, &r, &mode) < 0)
+    if (check_arity("min_cut_search_many", nargs, 5, 5) < 0 || read_search(args + 1, &q) < 0)
         return NULL;
     seq = PySequence_Fast(args[0], "adjs must be a sequence of adjacencies");
     if (seq == NULL)
@@ -356,8 +355,8 @@ min_cut_search_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     for (i = 0; i < count; i++) {
-        if (read_rows(PySequence_Fast_GET_ITEM(seq, i), n, rows) < 0
-            || (item = PyLong_FromLongLong(search(rows, n, g, r, mode))) == NULL) {
+        if (read_rows(PySequence_Fast_GET_ITEM(seq, i), q.n, rows) < 0
+            || (item = PyLong_FromLongLong(search(rows, &q))) == NULL) {
             Py_DECREF(out);
             Py_DECREF(seq);
             return NULL;

@@ -5,8 +5,8 @@ have the same positional-only contract as specconn._kernels, with the same
 results and the same ValueError messages. cut_valid exists only here: it
 is the one-set reference predicate that both backends' searches are tested
 against. Adjacency is a sequence of neighbor bitmasks, vertex sets are int
-bitmasks. Mode codes for the cut search: 0 classic, 1 component-count,
-2 good-neighbor, 3 good-neighbor+components; any other code is a
+bitmasks. The cut mode codes are connectivity.CutMode's, 0..3, whose
+docstring states what their two bits mean; any other code is a
 ValueError. The checks run in one order: n (and the search's order cap),
 then g and r, either of which is a ValueError when negative, then the mode,
 then the rows. vertices_of, the positions of a mask's set bits read off
@@ -17,13 +17,14 @@ survivor set S = V - F at once. Bit p stands for the set S(p) of the
 vertices v with bit n - 1 - v of p set, and a "truth table" is a 2^n-bit
 int whose bit p tells whether a predicate holds at S(p). The tables xs[v]
 (v in S(p)) and layer[s] (|S(p)| = s) are built once per order and cached.
-Then, with one big-int operation per step:
+The search reads g, r and the size range off the mode's two bits
+(_decode), then runs one path, with one big-int operation per step:
 
-- mode 0 accepts a single survivor (layer[1]), mode 1 fewer than r
-  survivors (layer[0] .. layer[r - 1]);
-- modes 2 and 3 drop every S in which some member has fewer than g
-  neighbours in S, by a counter per vertex that saturates at g;
-- ">= need components" floods, need - 1 times, the component of the least
+- fewer than r survivors (layer[0] .. layer[r - 1]) is a cut, which only
+  the sizes of a search without bit 1 reach;
+- with g > 0, every S in which some member has fewer than g neighbours in
+  S is dropped, by a counter per vertex that saturates at g;
+- ">= r components" floods, r - 1 times, the component of the least
   vertex of S not flooded yet, and asks whether a vertex is left.
 
 Within one layer, vertex 0 is the highest bit of p, so a smaller p means a
@@ -177,60 +178,29 @@ def components_masks(adj, n, removed=0, /):
     return comps
 
 
-def _component_count_reaches(adj, surv, r):
-    count = 0
-    rem = surv
-    while rem:
-        count += 1
-        if count >= r:
-            return True
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & surv & ~comp
-            comp |= frontier
-        rem &= ~comp
-    return count >= r
-
-
 def cut_valid(adj, n, fmask, g, r, mode, /):
-    """Whether deleting fmask is a valid cut in the given mode."""
+    """Whether deleting fmask is a valid cut in the given mode.
+
+    The reference predicate: each of the four modes by its own definition
+    (connectivity.CutMode), which the searches are tested against."""
     _check_order(n)
     _check_thresholds(g, r)
     _check_mode(mode)
     _check_rows(adj, n)
     full = (1 << n) - 1
     surv = full & ~fmask
+    count = len(components_masks(adj, n, fmask))
     if mode == 0:
-        if surv.bit_count() == 1:
-            return True
-        return _disconnected(adj, surv)
+        return surv.bit_count() == 1 or count >= 2
     if mode == 1:
-        if surv.bit_count() < r:
-            return True
-        return _component_count_reaches(adj, surv, r)
+        return surv.bit_count() < r or count >= r
     # good-neighbor modes require a nonempty proper cut
     if not fmask or not surv:
         return False
-    if g:
-        f = surv
-        while f:
-            low = f & -f
-            if (adj[low.bit_length() - 1] & surv).bit_count() < g:
-                return False
-            f ^= low
-    need = 2 if mode == 2 else r
-    return _component_count_reaches(adj, surv, need)
-
-
-def _disconnected(adj, surv):
-    return bool(surv) and _component_count_reaches(adj, surv, 2)
+    for v in vertices_of(surv):
+        if (adj[v] & surv).bit_count() < g:
+            return False
+    return count >= (2 if mode == 2 else r)
 
 
 def min_cut_search(adj, n, g, r, mode, /):
@@ -240,7 +210,7 @@ def min_cut_search(adj, n, g, r, mode, /):
     """
     _check_search(n, g, r, mode)
     _check_rows(adj, n)
-    return _search_batch((adj,), n, g, r, mode)[0]
+    return _search_batch((adj,), n, *_decode(n, g, r, mode))[0]
 
 
 def min_cut_search_many(adjs, n, g, r, mode, /):
@@ -250,10 +220,11 @@ def min_cut_search_many(adjs, n, g, r, mode, /):
     adjs = list(adjs)
     for adj in adjs:
         _check_rows(adj, n)
+    decoded = _decode(n, g, r, mode)
     width = _batch_width(n)
     out = []
     for start in range(0, len(adjs), width):
-        out += _search_batch(adjs[start:start + width], n, g, r, mode)
+        out += _search_batch(adjs[start:start + width], n, *decoded)
     return out
 
 
@@ -268,19 +239,24 @@ def _batch_width(n):
     return max(1, TABLE_BITS // _block_bits(n))
 
 
-def _search_batch(adjs, n, g, r, mode):
-    """The cuts of one batch: see the module docstring."""
+def _decode(n, g, r, mode):
+    """(g, r, lo, hi) of a cut search: its thresholds as the mode's two bits
+    (connectivity.CutMode) leave them, and its cut sizes lo .. hi - 1."""
     # clamped as in the C kernel: on n <= SEARCH_MAX_N vertices no survivor
     # keeps SEARCH_MAX_N + 1 neighbours and no cut leaves that many
     # components, so a larger g or r gives the same cut
-    g, r = min(g, SEARCH_MAX_N + 1), min(r, SEARCH_MAX_N + 1)
-    lo = 0 if mode in (0, 1) else 1
-    hi = n + 1 if mode == 1 else n
-    need = 2 if mode in (0, 2) else r
-    if mode in (2, 3):
-        # every survivor keeps g neighbours, so each of the >= need
-        # components has >= g + 1 vertices: no cut exceeds n - need*(g+1)
-        hi = min(hi, n - need * (g + 1) + 1)
+    r = min(r, SEARCH_MAX_N + 1) if mode & 1 else 2
+    if not mode & 2:
+        return 0, r, 0, n + 1
+    g = min(g, SEARCH_MAX_N + 1)
+    # every survivor keeps g neighbours, so each of the >= r components has
+    # >= g + 1 vertices: no cut exceeds n - r*(g+1)
+    return g, r, 1, min(n, n - r * (g + 1) + 1)
+
+
+def _search_batch(adjs, n, g, r, lo, hi):
+    """The cuts of one batch of a search _decode gave g, r, lo and hi: see
+    the module docstring."""
     if hi <= lo:
         return [-1] * len(adjs)
     xs, layer = _tables(n)
@@ -292,18 +268,16 @@ def _search_batch(adjs, n, g, r, mode):
     active = 0
     for s in counts:
         active |= layer[s]
+    # fewer than r survivors is a cut: with bit 1 the sizes never leave so few
     valid = 0
-    if mode == 0:
-        valid = layer[1]
-    elif mode == 1:
-        for s in range(min(r, n + 1)):
-            valid |= layer[s]
+    for s in range(min(r, n + 1)):
+        valid |= layer[s]
     if b > 1:
         active, valid = _replicate(active, b, nbytes), _replicate(valid, b, nbytes)
         xs = [_replicate(x, b, nbytes) for x in xs]
-    if mode in (2, 3) and g > 0:
+    if g > 0:
         active &= ~_short_of_neighbours(xs, common, gated, g)
-    valid |= _components_reach(xs, common, gated, active, need)
+    valid |= _components_reach(xs, common, gated, active, r)
     if b == 1:
         blocks = [valid]
     else:

@@ -5,11 +5,8 @@ good-neighbor condition of threshold g requires every vertex that survives
 the deletion to keep at least g neighbors *inside the deleted graph*, not in
 the original graph. All searches here use that reading.
 
-Modes:
-  CLASSIC    smallest F leaving a disconnected graph or a single vertex
-  COMPONENT  smallest F leaving >= r components or fewer than r vertices
-  NEIGHBOR   smallest nonempty F disconnecting with residual degrees >= g
-  FULL       NEIGHBOR strengthened to >= r components
+The four cut modes, and the two bits of their codes that both kernels
+read, are stated once, in the CutMode docstring.
 
 The returned certificate is the lexicographically least minimum cut: the
 least valid set of the smallest size, comparing sets as sorted vertex
@@ -33,12 +30,6 @@ code on either backend: min_cut_values floods from vertex 0 of all its
 graphs at once, with row v of every graph packed into one int, a block of
 bits per graph, as in the pure kernel's batches (_require_connected); min_cut
 is the flood of one graph.
-
-In NEIGHBOR/FULL mode the sizes stop at n - need*(g+1), where need is 2
-(NEIGHBOR) or r (FULL): every survivor keeps g neighbours inside the deleted
-graph, so each of the >= need components has >= g + 1 vertices, and no
-larger set can be a valid cut. Dropping those sizes changes no result and no
-certificate; it only ends the search early for graphs that have no cut.
 """
 
 import struct
@@ -53,6 +44,30 @@ from .graphs import Graph
 
 
 class CutMode(IntEnum):
+    """Which deleted sets F count as cuts. Of a graph on n vertices:
+
+      CLASSIC    smallest F leaving a disconnected graph or a single vertex
+      COMPONENT  smallest F leaving >= r components or fewer than r vertices
+      NEIGHBOR   smallest nonempty F disconnecting with residual degrees >= g
+      FULL       NEIGHBOR strengthened to >= r components
+
+    The code is two bits, and the kernels' cut searches read nothing else.
+    Every mode asks F to leave >= r components, and:
+
+    - bit 0 (COMPONENT, FULL) means r counts. Clear, r is 2.
+    - bit 1 (NEIGHBOR, FULL) means every survivor keeps >= g neighbours in
+      G - F and F is nonempty and proper. Each of the >= r components then
+      has >= g + 1 vertices, so no cut exceeds n - r(g+1), and the sizes
+      stop there. Clear, g is 0, the sizes run from 0 to n, and leaving
+      fewer than r survivors is also a cut.
+
+    So NEIGHBOR is FULL at r = 2, and a search treats CLASSIC as COMPONENT
+    at r = 2. Those two differ only at F = V, which no search reaches: for
+    n >= 2 every set of n - 1 vertices leaves one survivor and is a cut in
+    both, and for n = 1 the empty set is. The reference predicate
+    kernels.cut_valid keeps the four definitions, F = V included.
+    """
+
     CLASSIC = 0
     COMPONENT = 1
     NEIGHBOR = 2
@@ -102,11 +117,8 @@ def _certificate(g: Graph, fmask: int) -> CutCertificate:
 
 
 def is_valid_cut(g: Graph, fmask: int, query: CutQuery) -> CutCertificate | None:
-    """Certificate if fmask satisfies the mode's predicate, else None.
-
-    NEIGHBOR/FULL cuts must be nonempty proper subsets; COMPONENT mode also
-    accepts deletions leaving fewer than r vertices (including all of them).
-    """
+    """Certificate if deleting fmask is a cut of the query's mode (CutMode),
+    else None."""
     fmask &= g.vertex_mask
     if kernels.cut_valid(g.adj, g.n, fmask, query.g, query.r, int(query.mode)):
         return _certificate(g, fmask)

@@ -6,7 +6,8 @@ _kernels.c by setup.py) and a pure-Python fallback (specconn._kernels_py),
 both positional-only, with identical results and the same ValueError for
 bad input (an order outside 1..64, a cut search past SEARCH_MAX_N, a
 negative g or r, a cut mode code outside 0..3, too few rows), checked in
-that order. The compiled version is used when
+that order. The mode codes, and the two bits of them that both cut searches
+read, are connectivity.CutMode's. The compiled version is used when
 importable; set SPECCONN_PURE=1 to force the fallback.
 
 cut_valid, whether one set is a valid cut, exists once, in _kernels_py, on

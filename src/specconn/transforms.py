@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     add_edges,
     induced_subgraph,
@@ -193,8 +194,17 @@ class FuzzReport:
         return not self.violations
 
 
+def _check_max_n(max_n: int, smallest: int) -> None:
+    # checked before the first trial, not when a draw falls outside
+    if not smallest <= max_n <= MAX_VERTICES:
+        raise ValueError(f"fuzz orders start at {smallest}, so max_n must be in "
+                         f"{smallest}..{MAX_VERTICES}, got {max_n}")
+
+
 def fuzz_rotation_increase(trials: int, seed: int, max_n: int = 10) -> FuzzReport:
-    """Run `trials` applicable random rotation checks; collect violations."""
+    """Run `trials` applicable random rotation checks on graphs of order 4 to
+    max_n; collect violations."""
+    _check_max_n(max_n, 4)
     rng = random.Random(seed)
     report = FuzzReport()
     while report.applicable < trials:
@@ -225,7 +235,9 @@ def fuzz_rotation_increase(trials: int, seed: int, max_n: int = 10) -> FuzzRepor
 
 
 def fuzz_subgraph_monotonicity(trials: int, seed: int, max_n: int = 10) -> FuzzReport:
-    """Random (G, G-e) and (G, G-v) pairs; rho must strictly decrease."""
+    """Random (G, G-e) and (G, G-v) pairs, G of order 3 to max_n; rho must
+    strictly decrease."""
+    _check_max_n(max_n, 3)
     rng = random.Random(seed)
     report = FuzzReport()
     while report.applicable < trials:

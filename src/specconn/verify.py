@@ -3,10 +3,12 @@
 A class fixes (n, delta, g, r, k): connected graphs of order n with minimum
 degree delta whose good-neighbor component connectivity (mode "component")
 or good-neighbor connectivity (mode "neighbor", the r = 2 specialization;
-other r are rejected) equals k. The pipeline classifies every graph of a
-census, finds the rho-maximizer of each class, builds the claimed extremal
-family for the same parameters, and records whether the maximizer is
-isomorphic to it with matching rho. Reports record facts; they never assume the claim.
+other r are rejected) equals k. NEIGHBOR is FULL at r = 2 (CutMode), so
+both modes classify by CutQuery(g, r) and differ only in the reports'
+label. The pipeline classifies every graph of a census, finds the
+rho-maximizer of each class, builds the claimed extremal family for the
+same parameters, and records whether the maximizer is isomorphic to it
+with matching rho. Reports record facts; they never assume the claim.
 
 Ties are broken on canonical form (lexicographically least wins), so
 results are independent of --jobs. The scan reads the source in chunks of
@@ -15,13 +17,13 @@ connectivity.min_cut_values per chunk (the pure kernel decides 2^15 >> n
 graphs per set of truth tables). With one job the chunks are scanned in
 turn as they are read, so the source is never held whole; with more, a
 process pool scans them and returns only the cut sizes, with at most
-2 * jobs chunks submitted and not yet returned. Either way the parent
-pairs each chunk with its sizes in input order and keeps the member graphs
-themselves, grouped per (delta, k) cell, so a member's position in its cell
-is its input order. Only the cells a run reports are ranked. Canonical
-forms are computed per cell, for the graphs tied at exactly the best rho
-and for the isomorphism check, and graph6 only for the graphs a report
-names.
+2 * jobs chunks submitted and not yet returned. Either way one generator
+(_scanned) yields each chunk with its sizes in input order, and the parent
+keeps the member graphs themselves, grouped per (delta, k) cell, so a
+member's position in its cell is its input order. Only the cells a run
+reports are ranked. Canonical forms are computed per cell, for the graphs
+tied at exactly the best rho and for the isomorphism check, and graph6 only
+for the graphs a report names.
 
 A report needs only each cell's best rho, the members tied at it, and the
 second-best rho, so rho is solved only for members that could still be one
@@ -50,11 +52,11 @@ from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .census import connected_census
-from .connectivity import CutMode, CutQuery, min_cut, min_cut_values
+from .connectivity import CutQuery, min_cut, min_cut_values
 from .families import InfeasibleFamilyError, claimed_extremal, construct
 from .graphs import Graph, canonical_form, degree_profile, graph6_encode, vertices_of
 from .spectral import spectral_radius
@@ -78,10 +80,6 @@ class ClassSpec:
 
     def in_hypothesis(self) -> bool:
         return self.n >= self.k + self.r * (self.g + 1)
-
-
-def _membership_query(g_param: int, r: int, mode: str) -> CutQuery:
-    return CutQuery(g_param, r, CutMode.NEIGHBOR if mode == NEIGHBOR_MODE else CutMode.FULL)
 
 
 @dataclass
@@ -203,17 +201,10 @@ def run_verification(
                 "pass allow_out_of_hypothesis to report it anyway"
             )
     graphs = _of_order(source if source is not None else connected_census(n), n)
-    held: deque[list[Graph]] = deque()
-    chunks = _chunks(graphs, held)
-    query = _membership_query(g, r, mode)
     members: dict[tuple[int, int], list[Graph]] = {}
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        if pool:
-            sizes = _in_window(pool, chunks, query, 2 * jobs)
-        else:
-            sizes = map(min_cut_values, chunks, repeat(query))
-        for values in sizes:
-            for h, k in zip(held.popleft(), values):
+        for chunk, values in _scanned(graphs, CutQuery(g, r), pool, 2 * jobs):
+            for h, k in zip(chunk, values):
                 if k is not None:
                     delta = min(map(int.bit_count, h.adj))
                     members.setdefault((delta, k), []).append(h)
@@ -233,31 +224,35 @@ def _of_order(graphs: Iterable[Graph], n: int) -> Iterator[Graph]:
         yield h
 
 
-def _chunks(graphs: Iterator[Graph], held: deque[list[Graph]]) -> Iterator[list[Graph]]:
-    """SCAN_CHUNK graphs at a time, each also appended to `held` until the
-    caller pairs it with its cut sizes."""
-    while chunk := list(islice(graphs, SCAN_CHUNK)):
-        held.append(chunk)
-        yield chunk
-
-
-def _in_window(
-    pool: ProcessPoolExecutor, chunks: Iterator[list[Graph]], query: CutQuery, window: int
-) -> Iterator[list[int | None]]:
-    """pool.map(min_cut_values, chunks, repeat(query)), but with at most
-    `window` chunks submitted and not yet returned, so that the source is
-    read only as fast as the pool works through it. As with map, an error
-    cancels the chunks not yet started."""
-    pending: deque[Future] = deque()
+def _scanned(
+    graphs: Iterator[Graph],
+    query: CutQuery,
+    pool: ProcessPoolExecutor | None,
+    window: int,
+) -> Iterator[tuple[list[Graph], list[int | None]]]:
+    """Each chunk of SCAN_CHUNK graphs, in input order, with its
+    min_cut_values. Without a pool each chunk is scanned before the next is
+    read; with one, at most `window` chunks are submitted and not yet
+    returned, so that the source is read only as fast as the pool works
+    through it. As with pool.map, an error cancels the chunks not yet
+    started."""
+    chunks = iter(lambda: list(islice(graphs, SCAN_CHUNK)), [])
+    if pool is None:
+        for chunk in chunks:
+            yield chunk, min_cut_values(chunk, query)
+        return
+    pending: deque[tuple[list[Graph], Future]] = deque()
     try:
         for chunk in chunks:
             if len(pending) == window:
-                yield pending.popleft().result()
-            pending.append(pool.submit(min_cut_values, chunk, query))
+                done, future = pending.popleft()
+                yield done, future.result()
+            pending.append((chunk, pool.submit(min_cut_values, chunk, query)))
         while pending:
-            yield pending.popleft().result()
+            done, future = pending.popleft()
+            yield done, future.result()
     finally:
-        for future in pending:
+        for _, future in pending:
             future.cancel()
 
 
@@ -320,7 +315,7 @@ def _cell_report(spec: ClassSpec, mode: str, cell: _CellBest | None) -> Verifica
             claimed_rho = spectral_radius(claimed).rho
             claimed_g6 = graph6_encode(claimed)
             isomorphic = canonical_form(claimed) == best_canon
-            member_k = _claimed_membership(claimed, spec, mode)
+            member_k = _claimed_membership(claimed, spec)
             if member_k != spec.k or degree_profile(claimed).min_degree != spec.delta:
                 warnings.append(
                     f"anomaly: claimed family graph not in its own class "
@@ -346,8 +341,8 @@ def _cell_report(spec: ClassSpec, mode: str, cell: _CellBest | None) -> Verifica
     )
 
 
-def _claimed_membership(claimed: Graph, spec: ClassSpec, mode: str) -> int | None:
-    result = min_cut(claimed, _membership_query(spec.g, spec.r, mode))
+def _claimed_membership(claimed: Graph, spec: ClassSpec) -> int | None:
+    result = min_cut(claimed, CutQuery(spec.g, spec.r))
     return result.value if result else None
 
 

@@ -134,6 +134,17 @@ def test_transform_fuzz(capsys):
     assert "violations" in out
 
 
+def test_transform_fuzz_rejects_max_n_outside_the_orders_it_draws(capsys):
+    # rotation fuzz, which runs first, draws orders 4..max_n; a graph has at
+    # most 64 vertices
+    for max_n in ("3", "2", "65", "80"):
+        code, out, err = run(["transform", "fuzz", "--trials", "20", "--seed", "2",
+                              "--max-n", max_n], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: fuzz orders start at 4, so max_n must be in 4..64, got {max_n}\n"
+
+
 def test_enum_to_stdout(capsys):
     code, out, _ = run(["enum", "--n", "4"], capsys)
     assert code == 0

@@ -89,9 +89,11 @@ def test_min_cut_parity(compiled, rng):
                 _kernels_py.min_cut_search(g.adj, g.n, gg, r, mode)
 
 
-# every connected graph of order <= 7 is searched in all four modes
-SMALL_QUERIES = [(0, 2, 0), (0, 2, 1), (0, 3, 1)]
-SMALL_QUERIES += [(g, 2, 2) for g in range(3)]
+# every connected graph of order <= 7 is searched in all four modes, and
+# with a g or an r the mode ignores at ordinary values: (2, 3, 0), (2, 3, 1)
+# and (1, 4, 2)
+SMALL_QUERIES = [(0, 2, 0), (2, 3, 0), (0, 2, 1), (0, 3, 1), (2, 3, 1)]
+SMALL_QUERIES += [(g, 2, 2) for g in range(3)] + [(1, 4, 2)]
 SMALL_QUERIES += [(g, r, 3) for g in range(3) for r in (2, 3, 4)]
 
 

@@ -172,6 +172,16 @@ def test_monotonicity_fuzz_small():
     assert report.min_margin > 1e-10
 
 
+def test_fuzz_rejects_max_n_outside_the_orders_it_draws():
+    for fuzz, smallest in ((fuzz_rotation_increase, 4), (fuzz_subgraph_monotonicity, 3)):
+        for max_n in (smallest - 1, 0, -5, 65):
+            with pytest.raises(ValueError) as exc:
+                fuzz(trials=1, seed=0, max_n=max_n)
+            assert str(exc.value) == (f"fuzz orders start at {smallest}, "
+                                      f"so max_n must be in {smallest}..64, got {max_n}")
+        assert fuzz(trials=1, seed=0, max_n=smallest).ok
+
+
 def test_random_connected_graph_is_connected(rng):
     for _ in range(200):
         assert is_connected(random_connected_graph(rng, rng.randint(2, 12)))

@@ -359,22 +359,31 @@ def test_only_reported_cells_are_ranked(monkeypatch):
 
 
 def test_pool_holds_a_bounded_window_of_chunks(monkeypatch):
-    # with two jobs at most 2 * 2 chunks are in the pool, so `held` has at
-    # most that window plus the chunk just read when a result is paired
+    # with two jobs at most 2 * 2 chunks are in the pool, so the scan holds
+    # at most that window plus the chunk just read when a result is paired
     monkeypatch.setattr(verify, "SCAN_CHUNK", 16)
     source = connected_census(7) * 3
+    read = 0
     held_sizes = []
-    real = verify._chunks
+    real = verify._scanned
 
-    def spy(graphs, held):
-        for chunk in real(graphs, held):
-            held_sizes.append(len(held))
-            yield chunk
+    def counted():
+        nonlocal read
+        for h in source:
+            read += 1
+            yield h
 
-    monkeypatch.setattr(verify, "_chunks", spy)
-    multi = reports_to_json(run_verification(7, 1, 2, source=source, jobs=2))
+    def spy(graphs, query, pool, window):
+        paired = 0
+        for chunk, values in real(graphs, query, pool, window):
+            held_sizes.append(read - paired)
+            paired += len(chunk)
+            yield chunk, values
+
+    monkeypatch.setattr(verify, "_scanned", spy)
+    multi = reports_to_json(run_verification(7, 1, 2, source=counted(), jobs=2))
     assert len(held_sizes) == -(-len(source) // 16)
-    assert max(held_sizes) == 2 * 2 + 1
+    assert max(held_sizes) == (2 * 2 + 1) * 16
     assert multi == reports_to_json(run_verification(7, 1, 2, source=source, jobs=1))
 
 
