@@ -1,0 +1,43 @@
+#!/usr/bin/env python3
+"""One sha256 over the transform fuzz harnesses' reports on a fixed grid.
+
+Usage:
+  python3 benchmarks/fuzz_digest.py ROOT
+
+Imports specconn from ROOT/src, on whichever kernel backend specconn.kernels
+selects (SPECCONN_PURE=1 forces the pure one), and runs
+transforms.fuzz_rotation_increase and transforms.fuzz_subgraph_monotonicity
+for TRIALS applicable trials at max_n = 16, seeds 0-9 each. Every report
+adds (trials, applicable, violations, disconnected_results,
+min_margin.hex()) to the hash, rotation before monotonicity for each seed.
+The minimum margins are the harnesses' floats to the last bit, so the
+digest changes whenever an eigensolver change moves any rho the fuzz
+compares. Two checkouts whose harnesses agree print the same digest.
+"""
+
+import hashlib
+import os
+import sys
+
+SEEDS = range(10)
+TRIALS = 100
+MAX_N = 16
+
+
+def main() -> None:
+    (root,) = sys.argv[1:]
+    sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    from specconn.transforms import fuzz_rotation_increase, fuzz_subgraph_monotonicity
+
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        for harness in (fuzz_rotation_increase, fuzz_subgraph_monotonicity):
+            rep = harness(TRIALS, seed, MAX_N)
+            fields = (rep.trials, rep.applicable, rep.violations,
+                      rep.disconnected_results, rep.min_margin.hex())
+            digest.update(repr(fields).encode())
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

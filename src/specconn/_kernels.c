@@ -388,19 +388,19 @@ vector_to_list(const double *x, int size)
 /* Dominant adjacency eigenpair of one connected component.
  *
  * Shifted power iteration on A+I; returns (rho, x, iterations, residual,
- * converged) with x listed over the component's vertices in ascending
- * order, unit Euclidean norm.
+ * converged) with x a list of n floats indexed by vertex, 0.0 off the
+ * component, unit Euclidean norm. Every loop visits the component's
+ * vertices in ascending order and takes rows[v] & comp as v's neighbours.
  */
 static PyObject *
 power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *xs;
-    uint64_t rows[MAX_N], ladj[MAX_N], comp, m, row, acc_mask;
-    int vs[MAX_N], local[MAX_N];
-    double x[MAX_N], z[MAX_N];
+    uint64_t rows[MAX_N], comp, m, row;
+    double x[MAX_N] = {0.0}, z[MAX_N] = {0.0};
     double tol, rho = 0.0, resid = 0.0, acc, d, norm, bound;
     long max_iter, it;
-    int n, size = 0, v, i;
+    int n, size, v;
     if (check_arity("power_iteration", nargs, 5, 5) < 0
         || read_adj(args[0], args[1], &n, rows) < 0 || as_mask(args[2], &comp) < 0)
         return NULL;
@@ -415,35 +415,30 @@ power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                         "comp_mask must be a nonempty subset of the n vertices");
         return NULL;
     }
+    size = POPCOUNT64(comp);
+    d = 1.0 / sqrt((double)size);
     for (m = comp; m; m &= m - 1) {
         v = CTZ64(m);
-        local[v] = size;
-        vs[size++] = v;
+        rows[v] &= comp;
+        x[v] = d;
     }
     if (size == 1)
-        return Py_BuildValue("d[d]idO", 0.0, 1.0, 0, 0.0, Py_True);
-    for (i = 0; i < size; i++) {
-        acc_mask = 0;
-        for (row = rows[vs[i]] & comp; row; row &= row - 1)
-            acc_mask |= (uint64_t)1 << local[CTZ64(row)];
-        ladj[i] = acc_mask;
-    }
-    d = 1.0 / sqrt((double)size);
-    for (i = 0; i < size; i++)
-        x[i] = d;
+        return Py_BuildValue("dNidO", 0.0, vector_to_list(x, n), 0, 0.0, Py_True);
     for (it = 1; it <= max_iter; it++) {
-        for (i = 0; i < size; i++) {
+        for (m = comp; m; m &= m - 1) {
+            v = CTZ64(m);
             acc = 0.0;
-            for (row = ladj[i]; row; row &= row - 1)
+            for (row = rows[v]; row; row &= row - 1)
                 acc += x[CTZ64(row)];
-            z[i] = acc;
+            z[v] = acc;
         }
         rho = 0.0;
-        for (i = 0; i < size; i++)
-            rho += x[i] * z[i];
+        for (m = comp; m; m &= m - 1)
+            rho += x[CTZ64(m)] * z[CTZ64(m)];
         resid = 0.0;
-        for (i = 0; i < size; i++) {
-            d = fabs(z[i] - rho * x[i]);
+        for (m = comp; m; m &= m - 1) {
+            v = CTZ64(m);
+            d = fabs(z[v] - rho * x[v]);
             if (d > resid)
                 resid = d;
         }
@@ -451,15 +446,16 @@ power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         if (resid <= tol * bound)
             break;
         norm = 0.0;
-        for (i = 0; i < size; i++) {
-            z[i] += x[i];
-            norm += z[i] * z[i];
+        for (m = comp; m; m &= m - 1) {
+            v = CTZ64(m);
+            z[v] += x[v];
+            norm += z[v] * z[v];
         }
         norm = sqrt(norm);
-        for (i = 0; i < size; i++)
-            x[i] = z[i] / norm;
+        for (m = comp; m; m &= m - 1)
+            x[CTZ64(m)] = z[CTZ64(m)] / norm;
     }
-    xs = vector_to_list(x, size);
+    xs = vector_to_list(x, n);
     if (xs == NULL)
         return NULL;
     if (it > max_iter)
@@ -479,7 +475,8 @@ static PyMethodDef kernel_methods[] = {
      "[min_cut_search(adj, n, g, r, mode) for adj in adjs]."},
     {"power_iteration", (PyCFunction)(void (*)(void))power_iteration, METH_FASTCALL,
      "power_iteration(adj, n, comp_mask, tol, max_iter, /)\n--\n\n"
-     "(rho, x, iterations, residual, converged) for one component."},
+     "(rho, x, iterations, residual, converged) for one component;\n"
+     "x holds n floats indexed by vertex, 0.0 off the component."},
     {NULL, NULL, 0, NULL},
 };
 

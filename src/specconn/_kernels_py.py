@@ -436,27 +436,25 @@ def power_iteration(adj, n, comp_mask, tol, max_iter, /):
     """Dominant adjacency eigenpair of one connected component.
 
     Shifted power iteration on A+I; returns (rho, x, iterations, residual,
-    converged) with x listed over the component's vertices in ascending
-    order, unit Euclidean norm. One pass over the rows per iteration, and
-    the residual test as the module docstring derives it.
+    converged) with x a list of n floats indexed by vertex, 0.0 off the
+    component, unit Euclidean norm. Every loop visits the component's
+    vertices in ascending order and takes adj[v] & comp_mask as v's
+    neighbours. One pass over the rows per iteration, and the residual test
+    as the module docstring derives it.
     """
     _check_order(n)
     _check_rows(adj, n)
     if not comp_mask or comp_mask >> n:
         raise ValueError("comp_mask must be a nonempty subset of the n vertices")
     size = comp_mask.bit_count()
+    rows = [(v, vertices_of(adj[v] & comp_mask)) for v in vertices_of(comp_mask)]
+    x = [0.0] * n
+    for v, _ in rows:
+        x[v] = 1.0 / sqrt(size)
     if size == 1:
-        return 0.0, [1.0], 0, 0.0, True
-    if size == n:
-        nbrs = [vertices_of(adj[v] & comp_mask) for v in range(n)]
-    else:
-        vs = vertices_of(comp_mask)
-        index = {v: i for i, v in enumerate(vs)}
-        nbrs = [[index[w] for w in vertices_of(adj[v] & comp_mask)] for v in vs]
-    rows = list(enumerate(nbrs))
-    x = [1.0 / sqrt(size)] * size
-    z = [0.0] * size
-    y = [0.0] * size
+        return 0.0, x, 0, 0.0, True
+    z = [0.0] * n
+    y = [0.0] * n
     rho = 0.0
     resid = 0.0
     for it in range(1, max_iter + 1):
@@ -484,7 +482,7 @@ def power_iteration(adj, n, comp_mask, tol, max_iter, /):
             if norm - (rho + 1.0) ** 2 <= floor + 1e-12 * (norm + floor):
                 # the bound cannot rule convergence out: look for an entry
                 # of z - rho x over the bound, and stop at the first
-                for i in range(size):
+                for i, _ in rows:
                     d = z[i] - rho * x[i]
                     if d > bound or -d > bound:
                         break

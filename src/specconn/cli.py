@@ -2,7 +2,8 @@
 
 Subcommands: rho, cut, family, transform (rotate|monotone|rebalance|fuzz),
 enum, verify. Exit codes: 0 success / all verdicts confirming, 2 a checked
-claim failed, 1 usage or input errors.
+claim failed, 1 usage or input errors and a power iteration that did not
+converge.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from .families import (
 )
 from .graphs import Graph, GraphFormatError, graph6_decode, graph6_encode, vertices_of
 from .kernels import BACKEND
-from .spectral import ViolationError, spectral_radius
+from .spectral import ConvergenceError, ViolationError, spectral_radius
 from .transforms import (
     RotationSpec,
     check_join_rebalance,
@@ -321,7 +322,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, InfeasibleFamilyError, ValueError, OSError) as exc:
+    except (GraphFormatError, InfeasibleFamilyError, ValueError, OSError,
+            ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ViolationError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .families import Shape
-from .graphs import Graph, components, vertices_of
+from .graphs import Graph, components
 
 DEFAULT_TOL = 1e-12
 TWIN_TOL = 1e-9
@@ -47,17 +47,19 @@ class SpectralResult:
 
 
 def iteration_cap(n: int, tol: float) -> int:
-    return max(1000, int(200 * n * math.log(1.0 / tol)))
+    # -log(tol), not log(1 / tol): 1 / tol overflows for a subnormal tol
+    return max(1000, int(200 * n * -math.log(tol)))
 
 
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue with its Perron vector.
 
     rho is accurate to tol*max(1,rho); raises ConvergenceError if the
-    iteration cap is hit (pathological tolerances only).
+    iteration cap is hit (pathological tolerances only), and ValueError for
+    a tol that is not positive and finite.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     cap = iteration_cap(g.n, tol)
     best = None
     for comp in components(g):
@@ -67,16 +69,10 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
                 f"no convergence after {cap} iterations (residual {resid:.3e})"
             )
         if best is None or rho > best[0]:
-            best = (rho, comp, x, iters, resid)
+            best = (rho, x, iters, resid)
     assert best is not None
-    rho, comp, x, iters, resid = best
-    if comp == g.vertex_mask:
-        # x already lists every vertex in order
-        return SpectralResult(rho, tuple(x), iters, resid)
-    perron = [0.0] * g.n
-    for i, v in enumerate(vertices_of(comp)):
-        perron[v] = x[i]
-    return SpectralResult(rho, tuple(perron), iters, resid)
+    rho, x, iters, resid = best
+    return SpectralResult(rho, tuple(x), iters, resid)
 
 
 # ---------------------------------------------------------------------------

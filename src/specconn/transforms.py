@@ -194,8 +194,11 @@ class FuzzReport:
         return not self.violations
 
 
-def _check_max_n(max_n: int, smallest: int) -> None:
-    # checked before the first trial, not when a draw falls outside
+def _check_run(trials: int, max_n: int, smallest: int) -> None:
+    # checked before the first trial, not when a draw falls outside; a run
+    # of no trials would report a pass that checked nothing
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if not smallest <= max_n <= MAX_VERTICES:
         raise ValueError(f"fuzz orders start at {smallest}, so max_n must be in "
                          f"{smallest}..{MAX_VERTICES}, got {max_n}")
@@ -204,7 +207,7 @@ def _check_max_n(max_n: int, smallest: int) -> None:
 def fuzz_rotation_increase(trials: int, seed: int, max_n: int = 10) -> FuzzReport:
     """Run `trials` applicable random rotation checks on graphs of order 4 to
     max_n; collect violations."""
-    _check_max_n(max_n, 4)
+    _check_run(trials, max_n, 4)
     rng = random.Random(seed)
     report = FuzzReport()
     while report.applicable < trials:
@@ -237,7 +240,7 @@ def fuzz_rotation_increase(trials: int, seed: int, max_n: int = 10) -> FuzzRepor
 def fuzz_subgraph_monotonicity(trials: int, seed: int, max_n: int = 10) -> FuzzReport:
     """Random (G, G-e) and (G, G-v) pairs, G of order 3 to max_n; rho must
     strictly decrease."""
-    _check_max_n(max_n, 3)
+    _check_run(trials, max_n, 3)
     rng = random.Random(seed)
     report = FuzzReport()
     while report.applicable < trials:

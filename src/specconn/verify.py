@@ -188,11 +188,14 @@ def run_verification(
     cells: explicit (delta, k) cells, or None for every nonempty cell found.
     source: any iterable of graphs covering all isomorphism classes of
     connected graphs of order n; defaults to the built-in census (n <= 9).
+    A source that yields no graph is a ValueError, as is jobs < 1.
     """
     if mode not in (COMPONENT_MODE, NEIGHBOR_MODE):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == NEIGHBOR_MODE and r != 2:
         raise ValueError(f"neighbor mode is the r = 2 specialization; got r = {r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for delta, k in cells or ():
         spec = ClassSpec(n, delta, g, r, k)
         if not spec.in_hypothesis() and not allow_out_of_hypothesis:
@@ -202,12 +205,16 @@ def run_verification(
             )
     graphs = _of_order(source if source is not None else connected_census(n), n)
     members: dict[tuple[int, int], list[Graph]] = {}
+    scanned = 0
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         for chunk, values in _scanned(graphs, CutQuery(g, r), pool, 2 * jobs):
+            scanned += len(chunk)
             for h, k in zip(chunk, values):
                 if k is not None:
                     delta = min(map(int.bit_count, h.adj))
                     members.setdefault((delta, k), []).append(h)
+    if not scanned:
+        raise ValueError(f"the source holds no graph of order {n}")
 
     wanted = sorted(members) if cells is None else [(delta, k) for delta, k in cells]
     buckets = {cell: _cell_best(n, members[cell]) for cell in wanted if cell in members}

@@ -2,7 +2,7 @@ import io
 import json
 
 from specconn.cli import main
-from specconn.graphs import graph6_decode, graph6_encode, complete_graph, cycle_graph
+from specconn.graphs import graph6_decode, graph6_encode, complete_graph, cycle_graph, path_graph
 from specconn.families import FamilyParams, Family, construct
 from specconn.census import connected_census
 
@@ -32,6 +32,22 @@ def test_rho_rejects_bad_record(capsys):
     code, _, err = run(["rho", "!!!"], capsys)
     assert code == 1
     assert "error" in err
+
+
+def test_rho_rejects_tolerances_that_are_not_positive_and_finite(capsys):
+    for tol in ("nan", "inf", "0", "-1e-3"):
+        code, out, err = run(["rho", "D~{", f"--tol={tol}"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: tolerance must be positive and finite, got {float(tol)!r}\n"
+
+
+def test_rho_reports_non_convergence_as_an_error(monkeypatch, capsys):
+    monkeypatch.setattr("specconn.spectral.iteration_cap", lambda n, tol: 2)
+    code, out, err = run(["rho", graph6_encode(path_graph(5))], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no convergence after 2 iterations (residual ")
 
 
 def test_cut_certificate_output(capsys):
@@ -145,6 +161,14 @@ def test_transform_fuzz_rejects_max_n_outside_the_orders_it_draws(capsys):
         assert err == f"error: fuzz orders start at 4, so max_n must be in 4..64, got {max_n}\n"
 
 
+def test_transform_fuzz_rejects_trials_below_one(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run(["transform", "fuzz", "--trials", trials, "--max-n", "5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: trials must be >= 1, got {trials}\n"
+
+
 def test_enum_to_stdout(capsys):
     code, out, _ = run(["enum", "--n", "4"], capsys)
     assert code == 0
@@ -197,6 +221,34 @@ def test_verify_streams_input_and_reports_bad_lines(tmp_path, capsys, monkeypatc
     assert code == 1
     assert "expected 6" in err
     assert f"warning: {path}:4: " in err
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-2"):
+        code, out, err = run(["verify", "--n", "5", "--g", "1", "--all-classes",
+                              "--jobs", jobs], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: jobs must be >= 1, got {jobs}\n"
+
+
+def test_verify_rejects_a_source_with_no_graph(tmp_path, capsys):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    bad = tmp_path / "bad.g6"
+    bad.write_text("bad!\n")
+    argv = ["verify", "--n", "10", "--g", "1", "--all-classes", "--input"]
+    code, out, err = run(argv + [str(empty)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: the source holds no graph of order 10\n"
+    # the bad line's warning comes first, then the error
+    code, out, err = run(argv + [str(bad)], capsys)
+    assert code == 1
+    assert out == ""
+    warning, error = err.splitlines()
+    assert warning.startswith(f"warning: {bad}:1: ")
+    assert error == "error: the source holds no graph of order 10"
 
 
 def test_verify_single_cell_json_csv(tmp_path, capsys):

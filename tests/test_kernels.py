@@ -16,7 +16,7 @@ from specconn import _kernels_py
 from specconn import kernels
 from specconn.census import connected_census
 from specconn.connectivity import CutMode, CutQuery, min_cut
-from specconn.graphs import complete_graph, path_graph
+from specconn.graphs import complete_graph, path_graph, vertices_of
 from specconn.spectral import iteration_cap
 from conftest import _brute_min_cut, _loop_power_iteration, _pairwise_neighbours, random_graph
 
@@ -38,8 +38,12 @@ def test_keyword_arguments(compiled):
         assert module.components_masks(adj, 5) == [0b111, 0b11000]
         assert module.min_cut_search(adj, 5, 0, 2, 0) == 0
         assert module.min_cut_search_many([adj, adj], 5, 0, 2, 0) == [0, 0]
+        # x is indexed by vertex, 0.0 off the component
         rho, x, _, _, ok = module.power_iteration(adj, 5, 0b111, 1e-12, 100)
-        assert ok and rho == pytest.approx(2.0) and len(x) == 3
+        assert ok and rho == pytest.approx(2.0) and len(x) == 5
+        assert x[3] == x[4] == 0.0
+        assert module.power_iteration(adj, 5, 0b1000, 1e-12, 100) == \
+            (0.0, [0.0, 0.0, 0.0, 1.0, 0.0], 0, 0.0, True)
         for call in (
             lambda: module.components_masks(adj, 5, removed=0b001),
             lambda: module.components_masks(adj, n=5),
@@ -409,13 +413,23 @@ def _power_cases(rng):
             yield g.adj, n, mask
 
 
+def _scattered_oracle(adj, n, comp_mask, tol, max_iter):
+    """_loop_power_iteration with its x, listed over the component's
+    vertices in ascending order, scattered into a list indexed by vertex."""
+    rho, local, iters, resid, ok = _loop_power_iteration(adj, n, comp_mask, tol, max_iter)
+    x = [0.0] * n
+    for v, xv in zip(vertices_of(comp_mask), local):
+        x[v] = xv
+    return rho, x, iters, resid, ok
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
 def test_power_iteration_matches_five_loop_oracle(rng, tol):
     # the one-pass loop runs the five loops' floating-point operations in
     # their order, so every field compares equal, the floats included
     for adj, n, mask in _power_cases(rng):
         args = (adj, n, mask, tol, 2000)
-        assert _kernels_py.power_iteration(*args) == _loop_power_iteration(*args), (n, mask)
+        assert _kernels_py.power_iteration(*args) == _scattered_oracle(*args), (n, mask)
 
 
 def test_power_iteration_loose_tolerances_match_oracle(rng):
@@ -424,7 +438,7 @@ def test_power_iteration_loose_tolerances_match_oracle(rng):
     for tol in (1e-3, 0.5, 10.0, 0.0):
         for adj, n, mask in _power_cases(rng):
             args = (adj, n, mask, tol, 40)
-            assert _kernels_py.power_iteration(*args) == _loop_power_iteration(*args)
+            assert _kernels_py.power_iteration(*args) == _scattered_oracle(*args)
 
 
 def test_power_iteration_unconverged_return_matches_oracle(rng):
@@ -436,6 +450,6 @@ def test_power_iteration_unconverged_return_matches_oracle(rng):
             for max_iter in range(6):
                 args = (g.adj, n, mask, 1e-12, max_iter)
                 got = _kernels_py.power_iteration(*args)
-                assert got == _loop_power_iteration(*args), (n, mask, max_iter)
+                assert got == _scattered_oracle(*args), (n, mask, max_iter)
                 if not got[4]:
                     assert got[2] == max_iter

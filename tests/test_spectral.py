@@ -75,8 +75,12 @@ def test_disconnected_takes_max_over_components():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        spectral_radius(cycle_graph(4), tol=0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as exc:
+            spectral_radius(cycle_graph(4), tol=tol)
+        assert str(exc.value) == f"tolerance must be positive and finite, got {tol!r}"
+    # a subnormal tol still gets a finite iteration cap (1 / tol overflows)
+    assert spectral_radius(cycle_graph(4), tol=1e-310).rho == 2.0
 
 
 def test_min_max_degree_bounds(rng):

@@ -182,6 +182,15 @@ def test_fuzz_rejects_max_n_outside_the_orders_it_draws():
         assert fuzz(trials=1, seed=0, max_n=smallest).ok
 
 
+def test_fuzz_rejects_trials_below_one():
+    # a run of no trials would report a pass that checked nothing
+    for fuzz in (fuzz_rotation_increase, fuzz_subgraph_monotonicity):
+        for trials in (0, -3):
+            with pytest.raises(ValueError) as exc:
+                fuzz(trials=trials, seed=0, max_n=5)
+            assert str(exc.value) == f"trials must be >= 1, got {trials}"
+
+
 def test_random_connected_graph_is_connected(rng):
     for _ in range(200):
         assert is_connected(random_connected_graph(rng, rng.randint(2, 12)))

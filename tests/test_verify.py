@@ -170,6 +170,26 @@ def test_explicit_source_stream():
     assert all(rep.confirmed for rep in reports)
 
 
+def test_jobs_below_one_is_rejected_before_the_scan(monkeypatch):
+    scanned = []
+    monkeypatch.setattr(verify, "min_cut_values", lambda chunk, query: scanned.append(chunk))
+    for jobs in (0, -2):
+        with pytest.raises(ValueError) as exc:
+            run_verification(5, 1, 2, jobs=jobs)
+        assert str(exc.value) == f"jobs must be >= 1, got {jobs}"
+    assert scanned == []
+
+
+def test_source_with_no_graph_is_rejected(tmp_path):
+    bad = tmp_path / "bad.g6"
+    bad.write_text("bad!\n")
+    for jobs in (1, 2):
+        for source in ([], ingest_graph6(bad, [])):
+            with pytest.raises(ValueError) as exc:
+                run_verification(6, 1, 2, source=source, jobs=jobs)
+            assert str(exc.value) == "the source holds no graph of order 6"
+
+
 def test_neighbor_mode_rejects_r_other_than_two():
     for r in (1, 3):
         with pytest.raises(ValueError, match="r = 2"):
