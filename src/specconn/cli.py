@@ -2,8 +2,8 @@
 
 Subcommands: rho, cut, family, transform (rotate|monotone|rebalance|fuzz),
 enum, verify. Exit codes: 0 success / all verdicts confirming, 2 a checked
-claim failed, 1 usage or input errors and a power iteration that did not
-converge.
+claim failed, 1 usage or input errors (argparse's own included) and a power
+iteration that did not converge.
 """
 
 import argparse
@@ -20,7 +20,14 @@ from .families import (
     verify_witness,
     witness_cut,
 )
-from .graphs import Graph, GraphFormatError, graph6_decode, graph6_encode, vertices_of
+from .graphs import (
+    Graph,
+    GraphFormatError,
+    graph6_decode,
+    graph6_encode,
+    require_vertices,
+    vertices_of,
+)
 from .kernels import BACKEND
 from .spectral import ConvergenceError, ViolationError, spectral_radius
 from .transforms import (
@@ -115,6 +122,7 @@ def _cmd_transform(args) -> int:
     if args.action == "rotate":
         g = _read_graph(args.graph)
         moved = [int(tok) for tok in args.moved.split(",") if tok]
+        require_vertices(g, *moved)
         spec = RotationSpec(args.u, args.v, sum(1 << w for w in moved))
         if args.check:
             check = check_rotation_increase(g, spec)
@@ -201,7 +209,6 @@ def _cmd_verify(args) -> int:
             source=source,
             cells=cells,
             jobs=args.jobs,
-            allow_out_of_hypothesis=args.allow_out_of_hypothesis,
         )
     finally:
         for lineno, message in errors:
@@ -230,8 +237,17 @@ def _cmd_verify(args) -> int:
     return 0 if ok else VERDICT_FAILURE
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits USAGE_ERROR: its own code, 2, is
+    VERDICT_FAILURE here. Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specconn",
         description=(
             "Conditional connectivity, adjacency spectral radii, extremal "
@@ -311,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write reports to this JSON file")
     p.add_argument("--csv", help="write reports to this CSV file")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (default: 1)")
-    p.add_argument("--allow-out-of-hypothesis", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -146,6 +146,13 @@ class Graph:
         return f"Graph(n={self.n}, edges={sorted(self.edges())})"
 
 
+def require_vertices(g: Graph, *vertices: int) -> None:
+    """Raise ValueError naming the first of vertices that is not in 0..n-1."""
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} is not in 0..{g.n - 1}")
+
+
 # ---------------------------------------------------------------------------
 # construction helpers
 

@@ -8,11 +8,12 @@ equation of its equitable partition, used to cross-check the iterative path.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import kernels
 from .families import Shape
-from .graphs import Graph, components
+from .graphs import Graph, components, require_vertices
 
 DEFAULT_TOL = 1e-12
 TWIN_TOL = 1e-9
@@ -47,8 +48,9 @@ class SpectralResult:
 
 
 def iteration_cap(n: int, tol: float) -> int:
-    # -log(tol), not log(1 / tol): 1 / tol overflows for a subnormal tol
-    return max(1000, int(200 * n * -math.log(tol)))
+    # no residual falls much below machine epsilon, so a smaller tol earns
+    # no more iterations than epsilon does
+    return max(1000, int(200 * n * -math.log(max(tol, sys.float_info.epsilon))))
 
 
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
@@ -56,7 +58,9 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
 
     rho is accurate to tol*max(1,rho); raises ConvergenceError if the
     iteration cap is hit (pathological tolerances only), and ValueError for
-    a tol that is not positive and finite.
+    a tol that is not positive and finite. The cap is 200 n ln(1/tol), at
+    least 1000, with tol floored at machine epsilon: a tol of 1e-300 runs
+    at most 36,043 iterations at n = 5 before it gives up.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
@@ -134,6 +138,7 @@ def perron_compare(g: Graph, u: int, v: int, tol: float = DEFAULT_TOL) -> Perron
     required to respect it (ViolationError otherwise, which would indicate an
     eigensolver failure).
     """
+    require_vertices(g, u, v)
     if u == v:
         raise ValueError("vertices must be distinct")
     comps = components(g)

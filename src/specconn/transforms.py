@@ -20,6 +20,7 @@ from .graphs import (
     mask_of,
     permute,
     remove_edges,
+    require_vertices,
     vertices_of,
 )
 from .families import Shape
@@ -38,6 +39,7 @@ class RotationSpec:
     moved: int  # vertex bitmask
 
     def validate(self, g: Graph) -> None:
+        require_vertices(g, self.u, self.v)
         if self.u == self.v:
             raise ValueError("rotation endpoints must be distinct")
         if not self.moved:
@@ -138,6 +140,8 @@ def check_join_rebalance(s: int, parts: list[int], p: int) -> RebalanceCheck:
     part strictly below n - s - p(t-1); then the concentrated shape
     (n-s-p(t-1), p, ..., p) has strictly larger quotient spectral radius.
     """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     parts = list(parts)
     shape = Shape(s, tuple(parts))  # checks s and the sizes before parts[0] is read
     t = len(parts)

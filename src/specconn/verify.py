@@ -10,6 +10,13 @@ rho-maximizer of each class, builds the claimed extremal family for the
 same parameters, and records whether the maximizer is isomorphic to it
 with matching rho. Reports record facts; they never assume the claim.
 
+The cut-size lemma: a cut of CutQuery(g, r) leaves at least r components,
+and every survivor keeps at least g neighbours, so each component has at
+least g + 1 vertices and the cut at most n - r(g+1). A nonempty class
+therefore meets the paper's hypothesis n >= k + r(g+1), and each member
+has n >= r(g+1) + 1 >= 3, so it has no isolated vertex. An explicit cell
+outside the hypothesis is empty and is a usage error.
+
 Ties are broken on canonical form (lexicographically least wins), so
 results are independent of --jobs. The scan reads the source in chunks of
 SCAN_CHUNK graphs and finds every graph's k with one call of
@@ -40,8 +47,7 @@ of the sum of the degrees of v's neighbours divided by d_v, for a graph with
 no isolated vertex (O. Favaron, M. Maheo and J.-F. Sacle, Discrete Math.
 111, 1993). A member whose bound, with the same slack, is below the second
 best is skipped, and the walk goes on: the second best only rises, so the
-skipped member could change none of the three. The one-vertex graph has an
-isolated vertex, so it keeps Hong's bound alone. Ties keep their input
+skipped member could change none of the three. Ties keep their input
 position, so among equal canonical forms the first in input order wins.
 """
 
@@ -134,15 +140,13 @@ class VerificationReport:
 
     @property
     def confirmed(self) -> bool:
-        """True when the extremality claim holds (vacuously for empty cells)."""
+        """True when the extremality claim holds (vacuously for empty cells).
+        Every warning is an anomaly, so any warning fails it."""
         if self.population == 0:
             return True
-        if any(w.startswith("anomaly") for w in self.warnings):
+        if self.warnings:
             return False
-        if self.claimed_rho is None:
-            # out-of-hypothesis: no claim to confirm
-            return not self.spec.in_hypothesis()
-        assert self.best_rho is not None
+        assert self.best_rho is not None and self.claimed_rho is not None
         return bool(self.isomorphic) and abs(self.best_rho - self.claimed_rho) <= RHO_TOL
 
     def to_dict(self) -> dict:
@@ -181,7 +185,6 @@ def run_verification(
     source: Iterable[Graph] | None = None,
     cells: list[tuple[int, int]] | None = None,
     jobs: int = 1,
-    allow_out_of_hypothesis: bool = False,
 ) -> list[VerificationReport]:
     """Verify the extremality claims over a census.
 
@@ -198,10 +201,10 @@ def run_verification(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for delta, k in cells or ():
         spec = ClassSpec(n, delta, g, r, k)
-        if not spec.in_hypothesis() and not allow_out_of_hypothesis:
+        if not spec.in_hypothesis():
             raise ValueError(
                 f"class {spec} is outside the hypothesis n >= k + r(g+1); "
-                "pass allow_out_of_hypothesis to report it anyway"
+                "by the cut-size lemma no graph is in it"
             )
     graphs = _of_order(source if source is not None else connected_census(n), n)
     members: dict[tuple[int, int], list[Graph]] = {}
@@ -276,8 +279,7 @@ def _cell_best(n: int, group: list[Graph]) -> _CellBest:
         if second is not None and _below(bound, second):
             break
         member = group[position]
-        # the one-vertex graph has an isolated vertex, so only Hong's bound
-        if second is not None and n > 1 and _below(_neighbour_degree_bound(member), second):
+        if second is not None and _below(_neighbour_degree_bound(member), second):
             continue
         cell.add(spectral_radius(member).rho, position, member)
     return cell
@@ -309,9 +311,7 @@ def _cell_report(spec: ClassSpec, mode: str, cell: _CellBest | None) -> Verifica
 
     claimed_family = claimed_rho = claimed_g6 = None
     isomorphic = None
-    if not spec.in_hypothesis():
-        warnings.append("out-of-hypothesis: n < k + r(g+1); no claim checked")
-    elif population > 0:
+    if population > 0:
         try:
             params = claimed_extremal(spec.n, spec.k, spec.delta, spec.g, spec.r)
             claimed = construct(params)
@@ -328,7 +328,7 @@ def _cell_report(spec: ClassSpec, mode: str, cell: _CellBest | None) -> Verifica
                     f"anomaly: claimed family graph not in its own class "
                     f"(classified as k={member_k})"
                 )
-            if best_rho is not None and best_rho < claimed_rho - RHO_TOL:
+            if best_rho < claimed_rho - RHO_TOL:
                 warnings.append(
                     "anomaly: claimed family exceeds every class member's rho"
                 )

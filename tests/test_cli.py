@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from specconn.cli import main
 from specconn.graphs import graph6_decode, graph6_encode, complete_graph, cycle_graph, path_graph
 from specconn.families import FamilyParams, Family, construct
@@ -48,6 +50,41 @@ def test_rho_reports_non_convergence_as_an_error(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: no convergence after 2 iterations (residual ")
+
+
+def test_rho_caps_iterations_at_machine_epsilon(capsys):
+    # a tol below epsilon gets the cap of epsilon: 200 * 5 * ln(1 / eps)
+    code, out, err = run(["rho", "D~{", "--tol", "1e-300"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no convergence after 36043 iterations (residual ")
+
+
+def test_argparse_errors_exit_one(capsys):
+    # 2 is the exit code of a failed claim, so argparse's own must not be used
+    for argv, message in (
+        (["verify", "--n", "5"], "the following arguments are required: --g"),
+        (["verify", "--n", "5", "--g", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["cut", "D~{", "--mode", "bad"], "argument --mode: invalid choice: 'bad'"),
+        (["verify", "--n", "x", "--g", "1"], "argument --n: invalid int value: 'x'"),
+        (["verify", "--n", "5", "--g", "0", "--all-classes", "--allow-out-of-hypothesis"],
+         "unrecognized arguments: --allow-out-of-hypothesis"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: specconn")
+        assert f"error: {message}" in err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: specconn")
 
 
 def test_cut_certificate_output(capsys):
@@ -123,6 +160,20 @@ def test_transform_rotate_with_check(capsys):
     assert "rho_before" in out and "rho_after" in out
 
 
+def test_transform_rotate_rejects_vertices_outside_the_graph(capsys):
+    for flags, bad in (
+        (["--u", "9", "--v", "0", "--moved", "1"], 9),
+        (["--u", "-1", "--v", "0", "--moved", "1"], -1),
+        (["--u", "0", "--v", "-2", "--moved", "1"], -2),
+        (["--u", "0", "--v", "1", "--moved", "-1"], -1),
+        (["--u", "0", "--v", "1", "--moved", "2,1000000000"], 1000000000),
+    ):
+        code, out, err = run(["transform", "rotate", "D~{", *flags], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: vertex {bad} is not in 0..4\n"
+
+
 def test_transform_monotone(capsys):
     host = graph6_encode(complete_graph(5))
     sub = graph6_encode(complete_graph(4))
@@ -142,6 +193,14 @@ def test_transform_rebalance_rejects_empty_parts(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_transform_rebalance_rejects_p_below_one(capsys):
+    code, out, err = run(["transform", "rebalance", "--s", "1", "--parts", "3,2", "--p", "0"],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: p must be >= 1, got 0\n"
 
 
 def test_transform_fuzz(capsys):
@@ -280,6 +339,15 @@ def test_verify_usage_errors(capsys):
     code, _, err = run(["verify", "--n", "10", "--g", "0", "--all-classes"], capsys)
     assert code == 1
     assert "--input" in err
+
+
+def test_verify_out_of_hypothesis_cell_is_a_usage_error(capsys):
+    code, out, err = run(
+        ["verify", "--n", "6", "--g", "2", "--r", "2", "--delta", "2", "--k", "2"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "outside the hypothesis" in err and "no graph is in it" in err
 
 
 def test_verify_ingested_file(tmp_path, capsys):

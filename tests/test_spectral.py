@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from specconn.families import Family, FamilyParams, Shape, construct
 from specconn.spectral import (
     DisconnectedGraphError,
     SpectralResult,
+    iteration_cap,
     perron_compare,
     quotient_spectral_radius,
     spectral_radius,
@@ -81,6 +83,14 @@ def test_tolerance_validation():
         assert str(exc.value) == f"tolerance must be positive and finite, got {tol!r}"
     # a subnormal tol still gets a finite iteration cap (1 / tol overflows)
     assert spectral_radius(cycle_graph(4), tol=1e-310).rho == 2.0
+
+
+def test_iteration_cap_floors_tol_at_machine_epsilon():
+    eps = sys.float_info.epsilon
+    assert iteration_cap(5, 1e-300) == iteration_cap(5, eps) == 36043
+    assert iteration_cap(64, 1e-300) == 461358
+    # tolerances above epsilon keep their cap
+    assert iteration_cap(5, 1e-12) == int(200 * 5 * -math.log(1e-12))
 
 
 def test_min_max_degree_bounds(rng):
@@ -204,6 +214,12 @@ def test_perron_compare_validation():
         perron_compare(cycle_graph(4), 1, 1)
     with pytest.raises(DisconnectedGraphError):
         perron_compare(disjoint_union(cycle_graph(3), cycle_graph(3)), 0, 1)
+
+
+def test_perron_compare_rejects_vertices_outside_the_graph():
+    for u, v, bad in ((4, 0, 4), (-1, 0, -1), (0, 7, 7), (2, -3, -3)):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} is not in 0\.\.3$"):
+            perron_compare(cycle_graph(4), u, v)
 
 
 def test_perron_incomparable_pair():

@@ -54,6 +54,15 @@ def test_rotate_validation():
         rotate(g2, RotationSpec(0, 2, mask_of([0, 3])))
 
 
+def test_rotate_rejects_endpoints_outside_the_graph():
+    g = cycle_graph(5)
+    for u, v, bad in ((9, 0, 9), (-1, 0, -1), (0, 5, 5), (1, -2, -2)):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} is not in 0\.\.4$"):
+            rotate(g, RotationSpec(u, v, mask_of([1])))
+        with pytest.raises(ValueError, match=rf"^vertex {bad} is not in 0\.\.4$"):
+            check_rotation_increase(g, RotationSpec(u, v, mask_of([1])))
+
+
 def test_rotate_preserves_edge_count_and_inverts(rng):
     for _ in range(100):
         g = random_connected_graph(rng, rng.randint(4, 9))
@@ -126,6 +135,13 @@ def test_rebalance_example_and_boundary():
         check_join_rebalance(1, [2, 3], 2)  # not descending
     with pytest.raises(ValueError):
         check_join_rebalance(1, [3, 1], 2)  # part below p
+
+
+def test_rebalance_rejects_p_below_one():
+    # checked before the parts, so the error names p, not a clique part
+    for p in (0, -1):
+        with pytest.raises(ValueError, match=rf"^p must be >= 1, got {p}$"):
+            check_join_rebalance(1, [3, 2], p)
 
 
 def test_rebalance_agrees_with_dense_comparison():

@@ -1,11 +1,12 @@
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
 from specconn import _kernels_py, census, kernels, verify
 from specconn.census import CONNECTED_COUNTS, connected_census, ingest_graph6
-from specconn.connectivity import CutMode, CutQuery, min_cut
+from specconn.connectivity import CutMode, CutQuery, min_cut, min_cut_values
 from specconn.families import Family
 from specconn.graphs import (
     canonical_form,
@@ -16,6 +17,7 @@ from specconn.graphs import (
     from_edges,
     graph6_decode,
     graph6_encode,
+    mask_of,
     path_graph,
     permute,
 )
@@ -77,9 +79,26 @@ def test_out_of_hypothesis_gating():
     assert not ClassSpec(6, 2, 2, 2, 2).in_hypothesis()  # 6 < 2 + 2*3
     with pytest.raises(ValueError):
         run_verification(6, 2, 2, cells=[(2, 2)])
-    (rep,) = run_verification(6, 2, 2, cells=[(2, 2)], allow_out_of_hypothesis=True)
-    assert any("out-of-hypothesis" in w for w in rep.warnings)
-    assert rep.claimed_family is None
+
+
+def test_cut_size_lemma():
+    # each of the >= r components keeps g neighbours, so has >= g + 1
+    # vertices: no nonempty set of more than n - r(g+1) vertices is a cut
+    # (checked with the uncapped reference predicate), and no graph of
+    # order n <= r(g+1) has a cut at all
+    checked = 0
+    for n in range(1, 8):
+        graphs = connected_census(n)
+        for g in range(4):
+            for r in range(2, 5):
+                for size in range(max(n - r * (g + 1) + 1, 1), n):
+                    for fmask in map(mask_of, combinations(range(n), size)):
+                        for h in graphs:
+                            checked += 1
+                            assert not _kernels_py.cut_valid(h.adj, n, fmask, g, r, 3)
+                if n <= r * (g + 1):
+                    assert min_cut_values(graphs, CutQuery(g, r)) == [None] * len(graphs)
+    assert checked == 1_060_571
 
 
 def test_neighbor_mode_matches_r2_component_mode():
