@@ -13,6 +13,7 @@ Usage: python3 benchmarks/bench_kernels.py [--n 7] [--tol 1e-12]
 """
 
 import argparse
+import math
 import random
 import sys
 import time
@@ -47,7 +48,9 @@ def bench_power(mod, graphs, tol):
     acc = 0.0
     for g in graphs:
         cap = iteration_cap(g.n, tol)
-        rho, _, _, _, ok = mod.power_iteration(g.adj, g.n, g.vertex_mask, tol, cap)
+        rho, _, _, _, ok, _, _ = mod.power_iteration(
+            g.adj, g.n, g.vertex_mask, tol, cap, math.nan
+        )
         assert ok
         acc += rho
     return time.perf_counter() - t0, acc

@@ -13,7 +13,9 @@ and neighbor mode with r = 2:
 
 - `verify --all-classes` with jobs 1 and 2, over the built-in census and
   over a relabelled, shuffled graph6 copy of it passed as --input (seeded
-  per n as in report_digest.py), 144 runs in all;
+  per n as in report_digest.py), 144 runs in all; the 40 with
+  n <= r(g+1), where the cut-size lemma leaves every class empty, are
+  usage errors;
 - one explicit cell that --all-classes reports, when there is one;
 - one empty cell inside the hypothesis n >= k + r(g+1), when k = 1 is
   inside it: the complete graph has no cut, so minimum degree n - 1 is

@@ -10,9 +10,12 @@ transforms.fuzz_rotation_increase and transforms.fuzz_subgraph_monotonicity
 for TRIALS applicable trials at max_n = 16, seeds 0-9 each. Every report
 adds (trials, applicable, violations, disconnected_results,
 min_margin.hex()) to the hash, rotation before monotonicity for each seed.
-The minimum margins are the harnesses' floats to the last bit, so the
-digest changes whenever an eigensolver change moves any rho the fuzz
-compares. Two checkouts whose harnesses agree print the same digest.
+The minimum margins are the harnesses' floats to the last bit: certified
+Collatz-Wielandt bounds where a bracket decided the check, converged rhos
+elsewhere. So the digest changes whenever an eigensolver change moves any
+bound or rho the fuzz reports, or the harnesses draw other trials. Both
+kernel backends give the same bits, so they print the same digest, and two
+checkouts whose harnesses agree print the same digest.
 """
 
 import hashlib

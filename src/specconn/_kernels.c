@@ -12,12 +12,16 @@
  * docstring states what their two bits mean; read_search decodes them once
  * per call. Any other code is a ValueError, and so is a negative g or r.
  * min_cut_search_many is a loop over the same search; only the pure kernel
- * decides a batch in shared tables.
+ * decides a batch in shared tables. power_iteration also returns the
+ * Collatz-Wielandt bracket of its iterate and can stop on it against a
+ * threshold; the specconn._kernels_py docstring derives the bracket and
+ * its rounding slack.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <float.h>
 #include <limits.h>
 #include <math.h>
 #include <stdint.h>
@@ -385,12 +389,43 @@ vector_to_list(const double *x, int size)
     return out;
 }
 
-/* Dominant adjacency eigenpair of one connected component.
+/* The Collatz-Wielandt bracket of x on comp, z = A x: the least and
+ * greatest z_v / x_v, each widened by rel times itself; an x_v that
+ * underflowed to 0.0 leaves no upper bound. The same operations as
+ * _kernels_py._bracket, so the same bits. */
+static void
+bracket(uint64_t comp, const double *z, const double *x, double rel, double *lower,
+        double *upper)
+{
+    uint64_t m;
+    double q, low = INFINITY, high = -INFINITY;
+    int v;
+    for (m = comp; m; m &= m - 1) {
+        v = CTZ64(m);
+        if (x[v] == 0.0) {
+            high = INFINITY;
+            continue;
+        }
+        q = z[v] / x[v];
+        if (q < low)
+            low = q;
+        if (q > high)
+            high = q;
+    }
+    *lower = low - rel * low;
+    *upper = high + rel * high;
+}
+
+/* Dominant adjacency eigenpair of one component, with its bracket.
  *
  * Shifted power iteration on A+I; returns (rho, x, iterations, residual,
- * converged) with x a list of n floats indexed by vertex, 0.0 off the
- * component, unit Euclidean norm. Every loop visits the component's
- * vertices in ascending order and takes rows[v] & comp as v's neighbours.
+ * converged, lower, upper) with x a list of n floats indexed by vertex, 0.0
+ * off the component, unit Euclidean norm. Every loop visits the
+ * component's vertices in ascending order and takes rows[v] & comp as v's
+ * neighbours. [lower, upper] is the Collatz-Wielandt bracket of the x that
+ * rho belongs to; a threshold t other than NaN stops the loop at the first
+ * bracket that excludes t, unless the residual test passes there first.
+ * The _kernels_py docstring derives the bracket's rounding slack.
  */
 static PyObject *
 power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -398,10 +433,11 @@ power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     PyObject *xs;
     uint64_t rows[MAX_N], comp, m, row;
     double x[MAX_N] = {0.0}, z[MAX_N] = {0.0};
-    double tol, rho = 0.0, resid = 0.0, acc, d, norm, bound;
+    double tol, t, rho = 0.0, resid = 0.0, acc, d, norm, bound, rel;
+    double lower = 0.0, upper = INFINITY;
     long max_iter, it;
-    int n, size, v;
-    if (check_arity("power_iteration", nargs, 5, 5) < 0
+    int n, size, v, decide, converged = 0;
+    if (check_arity("power_iteration", nargs, 6, 6) < 0
         || read_adj(args[0], args[1], &n, rows) < 0 || as_mask(args[2], &comp) < 0)
         return NULL;
     tol = PyFloat_AsDouble(args[3]);
@@ -409,6 +445,9 @@ power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     max_iter = PyLong_AsLong(args[4]);
     if (max_iter == -1 && PyErr_Occurred())
+        return NULL;
+    t = PyFloat_AsDouble(args[5]);
+    if (t == -1.0 && PyErr_Occurred())
         return NULL;
     if (comp == 0 || (comp & ~full_mask(n)) != 0) {
         PyErr_SetString(PyExc_ValueError,
@@ -423,7 +462,9 @@ power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         x[v] = d;
     }
     if (size == 1)
-        return Py_BuildValue("dNidO", 0.0, vector_to_list(x, n), 0, 0.0, Py_True);
+        return Py_BuildValue("dNidOdd", 0.0, vector_to_list(x, n), 0, 0.0, Py_True, 0.0, 0.0);
+    rel = 4.0 * size * DBL_EPSILON;
+    decide = !isnan(t);
     for (it = 1; it <= max_iter; it++) {
         for (m = comp; m; m &= m - 1) {
             v = CTZ64(m);
@@ -443,8 +484,13 @@ power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 resid = d;
         }
         bound = rho < 1.0 ? 1.0 : rho;
-        if (resid <= tol * bound)
-            break;
+        converged = resid <= tol * bound;
+        /* the bracket of this x, where the loop may stop: z is y below */
+        if (converged || decide || it == max_iter) {
+            bracket(comp, z, x, rel, &lower, &upper);
+            if (converged || lower > t || upper < t)
+                break;
+        }
         norm = 0.0;
         for (m = comp; m; m &= m - 1) {
             v = CTZ64(m);
@@ -459,8 +505,9 @@ power_iteration(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (xs == NULL)
         return NULL;
     if (it > max_iter)
-        return Py_BuildValue("dNldO", rho, xs, max_iter, resid, Py_False);
-    return Py_BuildValue("dNldO", rho, xs, it, resid, Py_True);
+        it = max_iter;
+    return Py_BuildValue("dNldOdd", rho, xs, it, resid, converged ? Py_True : Py_False,
+                         lower, upper);
 }
 
 static PyMethodDef kernel_methods[] = {
@@ -474,9 +521,11 @@ static PyMethodDef kernel_methods[] = {
      "min_cut_search_many(adjs, n, g, r, mode, /)\n--\n\n"
      "[min_cut_search(adj, n, g, r, mode) for adj in adjs]."},
     {"power_iteration", (PyCFunction)(void (*)(void))power_iteration, METH_FASTCALL,
-     "power_iteration(adj, n, comp_mask, tol, max_iter, /)\n--\n\n"
-     "(rho, x, iterations, residual, converged) for one component;\n"
-     "x holds n floats indexed by vertex, 0.0 off the component."},
+     "power_iteration(adj, n, comp_mask, tol, max_iter, threshold, /)\n--\n\n"
+     "(rho, x, iterations, residual, converged, lower, upper) for one\n"
+     "component; x holds n floats indexed by vertex, 0.0 off the component,\n"
+     "and [lower, upper] is its Collatz-Wielandt bracket. A threshold other\n"
+     "than NaN stops at the first bracket that excludes it."},
     {NULL, NULL, 0, NULL},
 };
 

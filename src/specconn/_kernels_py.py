@@ -44,8 +44,9 @@ _batch_width(n) graphs (2^15 >> n for n >= 3); longer lists are cut into
 batches of that width. min_cut_search is the batch of one, which has no
 gates and no repeated tables.
 
-power_iteration makes one pass over the rows per iteration: row i gives
-z_i = (Ax)_i, then rho += x_i z_i, y_i = z_i + x_i and norm += y_i^2. These
+power_iteration(adj, n, comp_mask, tol, max_iter, threshold) makes one
+pass over the rows per iteration: row i gives z_i = (Ax)_i, then
+rho += x_i z_i, y_i = z_i + x_i and norm += y_i^2. These
 are the floating-point operations of the five loops the C kernel runs (one
 each for z, rho, the residual, y with its norm, and x = y / sqrt(norm)), in
 the same order, so the results are the same bits as those loops give in
@@ -77,11 +78,39 @@ return reports. The subtraction cancels the bound's precision near
 convergence: once ||r||_2 falls below about 1e-6 (rho + 1) the loop runs
 every iteration, which is about half of them at tol = 1e-12, but it then
 stops after one or two entries.
+
+power_iteration also returns the Collatz-Wielandt bracket of an iterate x:
+for a nonnegative matrix B and x > 0,
+
+    min_i (Bx)_i / x_i  <=  rho(B)  <=  max_i (Bx)_i / x_i,
+
+since Bx >= m x gives rho(B) >= m and Bx <= M x gives rho(B) <= M, whether
+or not B is irreducible. B is A on comp_mask, connected or not. The lower
+bound needs only x >= 0 and x != 0, the minimum taken over the support of
+x. The shifted iteration keeps x > 0, as y = (A + I) x >= x entrywise, so an
+entry leaves the support only by underflowing to 0.0, which happens in a
+mask whose parts lie far below the dominant one; then the upper bound is
+inf. The bounds are exact for the stored x; only z and the quotient round.
+z_i is a sum of at most size - 1 nonnegative doubles, which rounds by at
+most (size - 2) u relatively (u = eps / 2; a sum of subnormals is exact),
+and the division adds u, so each computed quotient is within about
+(size - 1) u of z_i / x_i, relatively. The bracket widens the least
+quotient and the greatest by rel = 4 size eps = 8 size u times themselves:
+
+    lower = low - rel low,   upper = high + rel high,
+
+and the two roundings of each widening cost about one more u, which leaves
+the bracket wider than the rounding error by a factor of about 8. The
+bracket decides rho against the threshold once lower > threshold or
+upper < threshold, and the iteration stops there. The C kernel
+takes the same quotients and the same minimum and maximum (exact
+operations), so the bracket has the same bits on both backends.
 """
 
 from functools import reduce
-from math import sqrt
-from operator import and_, getitem, or_
+from math import inf, sqrt
+from operator import and_, getitem, itemgetter, or_, truediv
+from sys import float_info
 
 BACKEND = "pure"
 MAX_N = 64
@@ -432,31 +461,44 @@ def _components_reach(xs, common, gated, active, need):
     return left
 
 
-def power_iteration(adj, n, comp_mask, tol, max_iter, /):
-    """Dominant adjacency eigenpair of one connected component.
+def power_iteration(adj, n, comp_mask, tol, max_iter, threshold, /):
+    """Dominant adjacency eigenpair of one component, with its bracket.
 
     Shifted power iteration on A+I; returns (rho, x, iterations, residual,
-    converged) with x a list of n floats indexed by vertex, 0.0 off the
-    component, unit Euclidean norm. Every loop visits the component's
-    vertices in ascending order and takes adj[v] & comp_mask as v's
-    neighbours. One pass over the rows per iteration, and the residual test
-    as the module docstring derives it.
+    converged, lower, upper) with x a list of n floats indexed by vertex,
+    0.0 off the component, unit Euclidean norm. Every loop visits the
+    component's vertices in ascending order and takes adj[v] & comp_mask as
+    v's neighbours. One pass over the rows per iteration, and the residual
+    test as the module docstring derives it.
+
+    [lower, upper] is the Collatz-Wielandt bracket of the x that rho and the
+    residual belong to (the returned x, except at the cap, which returns the
+    next iterate as before). A threshold other than NaN stops the iteration
+    at the first iteration whose bracket excludes it, with converged False,
+    unless the residual test passes there first. With a NaN threshold the
+    bracket is taken only where the iteration stops, and rho, x, iterations
+    and residual are those of a run without one.
     """
     _check_order(n)
     _check_rows(adj, n)
     if not comp_mask or comp_mask >> n:
         raise ValueError("comp_mask must be a nonempty subset of the n vertices")
     size = comp_mask.bit_count()
-    rows = [(v, vertices_of(adj[v] & comp_mask)) for v in vertices_of(comp_mask)]
+    members = vertices_of(comp_mask)
+    rows = [(v, vertices_of(adj[v] & comp_mask)) for v in members]
     x = [0.0] * n
-    for v, _ in rows:
+    for v in members:
         x[v] = 1.0 / sqrt(size)
     if size == 1:
-        return 0.0, x, 0, 0.0, True
+        return 0.0, x, 0, 0.0, True, 0.0, 0.0
+    pick = itemgetter(*members)
+    rel = 4.0 * size * float_info.epsilon
+    decide = threshold == threshold
     z = [0.0] * n
     y = [0.0] * n
     rho = 0.0
     resid = 0.0
+    lower, upper = 0.0, inf
     for it in range(1, max_iter + 1):
         # z = A x, rho = x.z, y = z + x and norm = y.y, each summed in row order
         rho = 0.0
@@ -476,7 +518,7 @@ def power_iteration(adj, n, comp_mask, tol, max_iter, /):
             # a non-converged return reports this residual
             resid = _residual(z, x, rho)
             if resid <= bound:
-                return rho, x, it, resid, True
+                return (rho, x, it, resid, True) + _bracket(pick(z), pick(x), rel)
         else:
             floor = size * bound * bound
             if norm - (rho + 1.0) ** 2 <= floor + 1e-12 * (norm + floor):
@@ -487,10 +529,28 @@ def power_iteration(adj, n, comp_mask, tol, max_iter, /):
                     if d > bound or -d > bound:
                         break
                 else:
-                    return rho, x, it, _residual(z, x, rho), True
+                    return (rho, x, it, _residual(z, x, rho), True) \
+                        + _bracket(pick(z), pick(x), rel)
+        if decide or it == max_iter:
+            lower, upper = _bracket(pick(z), pick(x), rel)
+            if lower > threshold or upper < threshold:
+                return rho, x, it, _residual(z, x, rho), False, lower, upper
         norm = sqrt(norm)
         x = [v / norm for v in y]
-    return rho, x, max_iter, resid, False
+    return rho, x, max_iter, resid, False, lower, upper
+
+
+def _bracket(z, x, rel):
+    """(lower, upper): the least and greatest z_i / x_i over the component,
+    each widened by rel times itself (see the module docstring). An entry
+    of x that underflowed to 0.0 leaves no upper bound."""
+    if 0.0 in x:
+        low = min([zi / xi for zi, xi in zip(z, x) if xi])
+        return low - rel * low, inf
+    quotients = list(map(truediv, z, x))
+    low = min(quotients)
+    high = max(quotients)
+    return low - rel * low, high + rel * high
 
 
 def _residual(z, x, rho):

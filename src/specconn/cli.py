@@ -130,7 +130,8 @@ def _cmd_transform(args) -> int:
                 print(f"inapplicable: x({args.u})={check.x_u:.12g} < x({args.v})={check.x_v:.12g}")
                 return 0
             print(f"rho_before={check.rho_before!r}")
-            print(f"rho_after={check.rho_after!r}")
+            # a certified value is a bound: rho after the rotation is at least it
+            print(f"rho_after{'>=' if check.certified else '='}{check.rho_after!r}")
             print(graph6_encode(rotate(g, spec)))
             return 0
         print(graph6_encode(rotate(g, spec)))
@@ -139,7 +140,7 @@ def _cmd_transform(args) -> int:
         g = _read_graph(args.host)
         h = graph6_decode(args.subgraph)
         check = check_subgraph_monotonicity(g, h)
-        print(f"rho_subgraph={check.rho_sub!r}")
+        print(f"rho_subgraph{'<=' if check.certified else '='}{check.rho_sub!r}")
         print(f"rho_host={check.rho_super!r}")
         print(f"margin={check.margin!r}")
         return 0
@@ -190,6 +191,14 @@ def _cmd_verify(args) -> int:
     if args.delta is not None and args.all_classes:
         print("give either --delta/--k or --all-classes, not both", file=sys.stderr)
         return USAGE_ERROR
+    if args.all_classes and args.n <= args.r * (args.g + 1):
+        # the cut-size lemma: every cut leaves r components of g + 1 vertices
+        print(
+            f"no class (n, delta, g, r, k) is nonempty when n <= r(g+1) = "
+            f"{args.r * (args.g + 1)}: there is nothing to verify",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
     if args.input is None and args.n > GENERATOR_CAP:
         print(
             f"built-in generation is capped at n = {GENERATOR_CAP}; pass --input",
@@ -213,6 +222,16 @@ def _cmd_verify(args) -> int:
     finally:
         for lineno, message in errors:
             print(f"warning: {args.input}:{lineno}: {message}", file=sys.stderr)
+    if not reports:
+        # only an --input that is not a complete census can get here: with
+        # n > r(g+1), r cliques of g + 1 vertices and one vertex joined to
+        # all of them make a connected member of a class
+        print(
+            f"no graph of {args.input} is in a class with n = {args.n}, g = {args.g}, "
+            f"r = {args.r}, though a complete census has members: nothing was verified",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
     if args.json:
         write_json(reports, args.json)
     if args.csv:

@@ -21,6 +21,13 @@ the validity predicate for all 2^n survivor sets at once with bitwise
 operations on 2^n-bit integers, then reads the least valid cut of the
 smallest size off those bits. Both reject n > SEARCH_MAX_N.
 
+power_iteration(adj, n, comp_mask, tol, max_iter, threshold) returns the
+dominant eigenpair of A on comp_mask with its Collatz-Wielandt bracket
+[lower, upper], which holds rho whatever the iterate; a threshold other
+than NaN stops the iteration at the first bracket that excludes it. The
+_kernels_py docstring derives the bracket and its rounding slack, and both
+backends return the same bits.
+
 min_cut_search_many(adjs, n, g, r, mode) returns the min_cut_search of every
 adjacency in adjs, all of order n. The C kernel loops over its search; the
 pure kernel decides up to 2^15 >> n graphs at once in one set of truth

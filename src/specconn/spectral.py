@@ -53,6 +53,24 @@ def iteration_cap(n: int, tol: float) -> int:
     return max(1000, int(200 * n * -math.log(max(tol, sys.float_info.epsilon))))
 
 
+def _checked_cap(n: int, tol: float) -> int:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    return iteration_cap(n, tol)
+
+
+def _solve(g: Graph, comp: int, tol: float, cap: int, threshold: float) -> tuple:
+    """The kernel's power iteration on one component; ConvergenceError if
+    it stopped at the cap with a bracket that still holds the threshold."""
+    out = kernels.power_iteration(g.adj, g.n, comp, tol, cap, threshold)
+    _, _, _, resid, ok, low, high = out
+    if not (ok or low > threshold or high < threshold):
+        raise ConvergenceError(
+            f"no convergence after {cap} iterations (residual {resid:.3e})"
+        )
+    return out
+
+
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue with its Perron vector.
 
@@ -62,21 +80,62 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     least 1000, with tol floored at machine epsilon: a tol of 1e-300 runs
     at most 36,043 iterations at n = 5 before it gives up.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    cap = iteration_cap(g.n, tol)
+    cap = _checked_cap(g.n, tol)
     best = None
     for comp in components(g):
-        rho, x, iters, resid, ok = kernels.power_iteration(g.adj, g.n, comp, tol, cap)
-        if not ok:
-            raise ConvergenceError(
-                f"no convergence after {cap} iterations (residual {resid:.3e})"
-            )
+        rho, x, iters, resid, _, _, _ = _solve(g, comp, tol, cap, math.nan)
         if best is None or rho > best[0]:
             best = (rho, x, iters, resid)
     assert best is not None
     rho, x, iters, resid = best
     return SpectralResult(rho, tuple(x), iters, resid)
+
+
+@dataclass(frozen=True)
+class RhoBounds:
+    """Certified bounds lower <= rho(g) <= upper from a decision against a
+    threshold t (rho_bounds).
+
+    lower and upper are the greatest lower and the greatest upper
+    Collatz-Wielandt bound over the components solved; upper is inf when a
+    component whose lower bound cleared t stopped the solve before the
+    rest. rho is the greatest converged rho of the components whose bracket
+    never excluded t, None when every bracket did. components counts the
+    components of g.
+    """
+
+    lower: float
+    upper: float
+    rho: float | None
+    components: int
+
+
+def rho_bounds(g: Graph, threshold: float, tol: float = DEFAULT_TOL) -> RhoBounds:
+    """Bounds on rho(g) from power iterations that stop once their
+    Collatz-Wielandt bracket decides rho against the threshold.
+
+    Each component is solved with the kernel's threshold: it stops at the
+    first bracket that excludes the threshold, or at spectral_radius's
+    convergence, whichever comes first; a converged component whose bracket
+    still holds the threshold gives its rho. The first component whose lower
+    bound clears the threshold decides rho(g) > threshold, and the rest are
+    not solved. tol, the cap and their errors are spectral_radius's.
+    """
+    cap = _checked_cap(g.n, tol)
+    comps = components(g)
+    lower = upper = 0.0
+    rho = None
+    for i, comp in enumerate(comps):
+        value, _, _, _, _, low, high = _solve(g, comp, tol, cap, threshold)
+        lower, upper = max(lower, low), max(upper, high)
+        if low > threshold:
+            if i + 1 < len(comps):
+                upper = math.inf
+            break
+        if not high < threshold:
+            # the bracket never excluded the threshold, so the solve converged
+            rho = value if rho is None else max(rho, value)
+    return RhoBounds(lower, upper, rho, len(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations, permutations
-from math import sqrt
+from math import inf, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -111,19 +111,23 @@ def _perbit_graph6_decode(text: str) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _loop_power_iteration(adj, n, comp_mask, tol, max_iter):
+def _loop_power_iteration(adj, n, comp_mask, tol, max_iter, threshold):
     """Reference power iteration: the pure kernel's contract, computed by
     five loops per iteration as the C kernel does (z = Ax, rho, the
-    infinity-norm residual, y = z + x with its norm, x = y / norm)."""
+    infinity-norm residual, y = z + x with its norm, x = y / norm), with
+    the Collatz-Wielandt bracket of x taken by a sixth loop wherever the
+    iteration may stop."""
     vs = vertices_of(comp_mask)
     size = len(vs)
     if size == 1:
-        return 0.0, [1.0], 0, 0.0, True
+        return 0.0, [1.0], 0, 0.0, True, 0.0, 0.0
     index = {v: i for i, v in enumerate(vs)}
     nbrs = [[index[w] for w in vertices_of(adj[v] & comp_mask)] for v in vs]
     x = [1.0 / sqrt(size)] * size
+    rel = 4.0 * size * sys.float_info.epsilon
     rho = 0.0
     resid = 0.0
+    lower, upper = 0.0, inf
     for it in range(1, max_iter + 1):
         z = [0.0] * size
         for i, row in enumerate(nbrs):
@@ -141,8 +145,18 @@ def _loop_power_iteration(adj, n, comp_mask, tol, max_iter):
                 d = -d
             if d > resid:
                 resid = d
-        if resid <= tol * max(1.0, rho):
-            return rho, x, it, resid, True
+        converged = resid <= tol * max(1.0, rho)
+        if converged or threshold == threshold or it == max_iter:
+            low, high = inf, -inf
+            for i in range(size):
+                if x[i] == 0.0:
+                    high = inf
+                    continue
+                q = z[i] / x[i]
+                low, high = min(low, q), max(high, q)
+            lower, upper = low - rel * low, high + rel * high
+            if converged or lower > threshold or upper < threshold:
+                return rho, x, it, resid, converged, lower, upper
         norm = 0.0
         for i in range(size):
             z[i] += x[i]
@@ -150,7 +164,7 @@ def _loop_power_iteration(adj, n, comp_mask, tol, max_iter):
         norm = sqrt(norm)
         for i in range(size):
             x[i] = z[i] / norm
-    return rho, x, max_iter, resid, False
+    return rho, x, max_iter, resid, False, lower, upper
 
 
 def _loop_graph_check(n: int, adj) -> None:

@@ -394,3 +394,41 @@ def test_verify_neighbor_mode_rejects_r_three(capsys):
     assert code == 1
     assert out == ""
     assert "neighbor mode" in err and "r = 3" in err
+
+
+def test_verify_all_classes_with_no_possible_class_is_a_usage_error(capsys):
+    # by the cut-size lemma no class is nonempty when n <= r(g+1): a scan
+    # that could verify nothing is refused before it starts
+    for argv in (["--n", "5", "--g", "2", "--r", "2"], ["--n", "6", "--g", "1", "--r", "3"],
+                 ["--n", "4", "--g", "1", "--r", "2", "--mode", "neighbor"]):
+        code, out, err = run(["verify", *argv, "--all-classes"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "n <= r(g+1)" in err and "nothing to verify" in err
+
+
+def test_verify_input_with_no_class_member_exits_one(tmp_path, capsys):
+    # K5 has no cut, so this one-graph --input puts nothing in any class
+    path = tmp_path / "complete.g6"
+    path.write_text(graph6_encode(complete_graph(5)) + "\n")
+    code, out, err = run(["verify", "--n", "5", "--g", "0", "--r", "2", "--all-classes",
+                          "--input", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "nothing was verified" in err
+
+
+def test_transform_checks_label_certified_bounds(capsys):
+    # a bracket that decides the check prints its bound, not an equality
+    code, out, _ = run(["transform", "rotate", graph6_encode(cycle_graph(5)),
+                        "--u", "0", "--v", "2", "--moved", "3", "--check"], capsys)
+    assert code == 0
+    before, after = out.splitlines()[:2]
+    assert before.startswith("rho_before=") and after.startswith("rho_after>=")
+    assert float(after.split(">=")[1]) > float(before.split("=")[1]) + 1e-10
+    code, out, _ = run(["transform", "monotone", graph6_encode(complete_graph(5)),
+                        graph6_encode(complete_graph(4))], capsys)
+    assert code == 0
+    sub, host, margin = out.splitlines()
+    assert sub.startswith("rho_subgraph<=3.0") and host.startswith("rho_host=")
+    assert margin.startswith("margin=") and float(margin.split("=")[1]) > 0.99

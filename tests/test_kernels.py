@@ -10,6 +10,7 @@ extension does not export one).
 
 import random
 
+import numpy as np
 import pytest
 
 from specconn import _kernels_py
@@ -21,6 +22,7 @@ from specconn.spectral import iteration_cap
 from conftest import _brute_min_cut, _loop_power_iteration, _pairwise_neighbours, random_graph
 
 TOP_BIT = 1 << 63
+NAN = float("nan")
 
 
 def test_backend_is_reported(compiled):
@@ -38,24 +40,28 @@ def test_keyword_arguments(compiled):
         assert module.components_masks(adj, 5) == [0b111, 0b11000]
         assert module.min_cut_search(adj, 5, 0, 2, 0) == 0
         assert module.min_cut_search_many([adj, adj], 5, 0, 2, 0) == [0, 0]
-        # x is indexed by vertex, 0.0 off the component
-        rho, x, _, _, ok = module.power_iteration(adj, 5, 0b111, 1e-12, 100)
+        # x is indexed by vertex, 0.0 off the component; a NaN threshold
+        # is none
+        rho, x, _, _, ok, lower, upper = module.power_iteration(adj, 5, 0b111, 1e-12, 100, NAN)
         assert ok and rho == pytest.approx(2.0) and len(x) == 5
         assert x[3] == x[4] == 0.0
-        assert module.power_iteration(adj, 5, 0b1000, 1e-12, 100) == \
-            (0.0, [0.0, 0.0, 0.0, 1.0, 0.0], 0, 0.0, True)
+        assert lower <= 2.0 <= upper
+        assert module.power_iteration(adj, 5, 0b1000, 1e-12, 100, NAN) == \
+            (0.0, [0.0, 0.0, 0.0, 1.0, 0.0], 0, 0.0, True, 0.0, 0.0)
         for call in (
             lambda: module.components_masks(adj, 5, removed=0b001),
             lambda: module.components_masks(adj, n=5),
             lambda: module.min_cut_search(adj, 5, 0, 2, mode=0),
             lambda: module.min_cut_search_many(adjs=[adj], n=5, g=0, r=2, mode=0),
             lambda: module.power_iteration(adj, 5, 0b111, 1e-12, max_iter=100),
+            lambda: module.power_iteration(adj, 5, 0b111, 1e-12, 100, threshold=NAN),
             # wrong arity
             lambda: module.components_masks(adj),
             lambda: module.components_masks(adj, 5, 0, 0),
             lambda: module.min_cut_search(adj, 5, 0, 2),
             lambda: module.min_cut_search_many([adj], 5, 0, 2, 0, 0),
-            lambda: module.power_iteration(adj, 5, 0b111, 1e-12),
+            lambda: module.power_iteration(adj, 5, 0b111, 1e-12, 100),
+            lambda: module.power_iteration(adj, 5, 0b111, 1e-12, 100, NAN, NAN),
         ):
             with pytest.raises(TypeError):
                 call()
@@ -283,18 +289,12 @@ def test_thresholds_past_c_int_range_give_one_answer(compiled, monkeypatch):
 
 
 def _assert_power_parity(compiled, g, comps):
+    # the same floating-point operations in the same order: the same bits
     cap = iteration_cap(g.n, 1e-12)
     for comp in comps:
-        rho_c, x_c, it_c, res_c, ok_c = compiled.power_iteration(
-            g.adj, g.n, comp, 1e-12, cap
-        )
-        rho_p, x_p, it_p, res_p, ok_p = _kernels_py.power_iteration(
-            g.adj, g.n, comp, 1e-12, cap
-        )
-        assert ok_c and ok_p
-        assert rho_c == pytest.approx(rho_p, abs=1e-11)
-        assert it_c == it_p
-        assert x_c == pytest.approx(x_p, abs=1e-11)
+        got = compiled.power_iteration(g.adj, g.n, comp, 1e-12, cap, NAN)
+        assert got[4]
+        assert got == _kernels_py.power_iteration(g.adj, g.n, comp, 1e-12, cap, NAN)
 
 
 def test_power_iteration_parity(compiled, rng):
@@ -317,7 +317,7 @@ def test_power_iteration_parity_order_64(compiled, rng):
         ("components_masks", (0,)),
         ("cut_valid", (1, 1, 2, 3)),
         ("min_cut_search", (1, 2, 3)),
-        ("power_iteration", (1, 1e-12, 100)),
+        ("power_iteration", (1, 1e-12, 100, NAN)),
     ],
 )
 def test_bad_order_raises(compiled, name, rest):
@@ -365,7 +365,7 @@ def test_power_iteration_rejects_vertices_outside_the_graph(compiled):
     for module in (compiled, _kernels_py):
         for comp in (0, 0b100, TOP_BIT):
             with pytest.raises(ValueError):
-                module.power_iteration(adj, 2, comp, 1e-12, 100)
+                module.power_iteration(adj, 2, comp, 1e-12, 100, NAN)
 
 
 @pytest.mark.parametrize("name", ["cut_valid", "min_cut_search", "min_cut_search_many"])
@@ -413,14 +413,14 @@ def _power_cases(rng):
             yield g.adj, n, mask
 
 
-def _scattered_oracle(adj, n, comp_mask, tol, max_iter):
+def _scattered_oracle(adj, n, comp_mask, tol, max_iter, threshold):
     """_loop_power_iteration with its x, listed over the component's
     vertices in ascending order, scattered into a list indexed by vertex."""
-    rho, local, iters, resid, ok = _loop_power_iteration(adj, n, comp_mask, tol, max_iter)
+    rho, local, *rest = _loop_power_iteration(adj, n, comp_mask, tol, max_iter, threshold)
     x = [0.0] * n
     for v, xv in zip(vertices_of(comp_mask), local):
         x[v] = xv
-    return rho, x, iters, resid, ok
+    return rho, x, *rest
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
@@ -428,7 +428,7 @@ def test_power_iteration_matches_five_loop_oracle(rng, tol):
     # the one-pass loop runs the five loops' floating-point operations in
     # their order, so every field compares equal, the floats included
     for adj, n, mask in _power_cases(rng):
-        args = (adj, n, mask, tol, 2000)
+        args = (adj, n, mask, tol, 2000, NAN)
         assert _kernels_py.power_iteration(*args) == _scattered_oracle(*args), (n, mask)
 
 
@@ -437,7 +437,7 @@ def test_power_iteration_loose_tolerances_match_oracle(rng):
     # skipped residual stays sound for tolerances far past the solver's
     for tol in (1e-3, 0.5, 10.0, 0.0):
         for adj, n, mask in _power_cases(rng):
-            args = (adj, n, mask, tol, 40)
+            args = (adj, n, mask, tol, 40, NAN)
             assert _kernels_py.power_iteration(*args) == _scattered_oracle(*args)
 
 
@@ -448,8 +448,44 @@ def test_power_iteration_unconverged_return_matches_oracle(rng):
         g = random_graph(rng, n, 0.3)
         for mask in _kernels_py.components_masks(g.adj, n, 0) + [g.vertex_mask]:
             for max_iter in range(6):
-                args = (g.adj, n, mask, 1e-12, max_iter)
+                args = (g.adj, n, mask, 1e-12, max_iter, NAN)
                 got = _kernels_py.power_iteration(*args)
                 assert got == _scattered_oracle(*args), (n, mask, max_iter)
                 if not got[4]:
                     assert got[2] == max_iter
+
+
+def _masked_lambda1(adj, mask):
+    """numpy's largest eigenvalue of the adjacency matrix on mask."""
+    vs = vertices_of(mask)
+    a = np.zeros((len(vs), len(vs)))
+    for i, v in enumerate(vs):
+        for j, w in enumerate(vs):
+            a[i, j] = adj[v] >> w & 1
+    return float(np.linalg.eigvalsh(a)[-1])
+
+
+def test_power_iteration_bracket_holds_lambda1(compiled, rng):
+    # thresholds just above, just below and far from lambda1, so that some
+    # runs stop on the bracket and others converge first; every bracket
+    # holds numpy's lambda1, both backends agree to the bit, and the pure
+    # one-pass loop agrees with the five-loop oracle
+    stops = {True: 0, False: 0}
+    for _ in range(120):
+        n = rng.randint(1, 20)
+        g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.6)))
+        for mask in _kernels_py.components_masks(g.adj, n, 0) + [rng.getrandbits(n) or 1]:
+            lam = _masked_lambda1(g.adj, mask)
+            cap = iteration_cap(n, 1e-12)
+            for t in (NAN, lam + 1e-9, lam - 1e-9, lam + 1e-6, lam - 1e-6,
+                      lam / 2, lam + 1.0, lam + 1e-14):
+                args = (g.adj, n, mask, 1e-12, cap, t)
+                got = _kernels_py.power_iteration(*args)
+                assert compiled.power_iteration(*args) == got, (n, mask, t)
+                assert got == _scattered_oracle(*args), (n, mask, t)
+                rho, _, _, _, converged, lower, upper = got
+                assert lower <= lam <= upper, (n, mask, t, lower, lam, upper)
+                assert lower <= rho <= upper
+                assert converged or lower > t or upper < t
+                stops[converged] += 1
+    assert stops[True] and stops[False]

@@ -1,11 +1,15 @@
+import math
 import random
 
 import pytest
 
+from specconn import transforms
+from specconn.census import connected_census
 from specconn.graphs import (
     complete_bipartite,
     cycle_graph,
     complete_graph,
+    components,
     from_edges,
     is_connected,
     mask_of,
@@ -13,9 +17,12 @@ from specconn.graphs import (
     remove_edges,
     vertices_of,
 )
-from specconn.spectral import spectral_radius
+from specconn.spectral import ViolationError, spectral_radius
 from specconn.transforms import (
+    PERRON_TIE_TOL,
+    STRICT_MARGIN,
     RotationSpec,
+    _decide,
     check_join_rebalance,
     check_rotation_increase,
     check_subgraph_monotonicity,
@@ -24,7 +31,7 @@ from specconn.transforms import (
     random_connected_graph,
     rotate,
 )
-from conftest import _edge_list_connected_graph
+from conftest import _edge_list_connected_graph, dense_rho, random_graph
 
 
 def test_rotate_path_example():
@@ -155,7 +162,7 @@ def test_rebalance_agrees_with_dense_comparison():
 
 
 def test_rotation_connectivity_flag_matches_flood():
-    # result_connected is read off the Perron vector's support, not a flood
+    # result_connected is read off the rotated graph's component flood
     rng = random.Random(34)
     seen = set()
     for _ in range(1500):
@@ -219,3 +226,105 @@ def test_random_connected_graph_matches_edge_list_construction():
             ours, theirs = random.Random(seed * 17 + n), random.Random(seed * 17 + n)
             assert random_connected_graph(ours, n) == _edge_list_connected_graph(theirs, n)
             assert ours.getstate() == theirs.getstate()
+
+
+def test_checks_decide_as_the_converged_comparison_does():
+    # about 1,000 rotations and 1,000 edge and vertex deletions at n <= 12:
+    # each check passes exactly when the float comparison of the two
+    # converged rhos passes, and a certified bound lies on its side of
+    # numpy's lambda1
+    rng = random.Random(2400)
+    rotations = deletions = certified = 0
+    while rotations < 1000:
+        n = rng.randint(4, 12)
+        g = random_connected_graph(rng, n)
+        u, v = rng.sample(range(n), 2)
+        movable = g.adj[v] & ~g.adj[u] & ~(1 << u)
+        if not movable:
+            continue
+        spec = RotationSpec(u, v, movable & -movable | rng.getrandbits(n) & movable)
+        check = check_rotation_increase(g, spec)
+        if not check.applicable:
+            continue
+        rotations += 1
+        star = rotate(g, spec)
+        before = spectral_radius(g).rho
+        assert spectral_radius(star).rho > before + STRICT_MARGIN
+        assert check.rho_before == before
+        assert check.result_connected == is_connected(star)
+        if check.certified:
+            certified += 1
+            assert check.rho_after <= dense_rho(star)
+    while deletions < 1000:
+        g = random_connected_graph(rng, rng.randint(3, 12))
+        victim = rng.randrange(g.n)
+        for h in (remove_edges(g, [rng.choice(sorted(g.edges()))]),
+                  remove_edges(g, [(victim, w) for w in vertices_of(g.adj[victim])])):
+            check = check_subgraph_monotonicity(g, h)
+            deletions += 1
+            rho_super = spectral_radius(g).rho
+            assert spectral_radius(h).rho < rho_super - STRICT_MARGIN
+            assert check.rho_super == rho_super
+            if check.certified:
+                certified += 1
+                assert check.rho_sub >= dense_rho(h)
+    assert certified > 1900
+
+
+def test_decision_raises_as_the_converged_comparison_does():
+    # thresholds at and one step either side of the converged rho, where the
+    # brackets rarely clear: holds is the float comparison every time
+    rng = random.Random(2401)
+    outcomes = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 12), rng.choice((0.2, 0.5)))
+        rho = spectral_radius(g).rho
+        for t in (rho, math.nextafter(rho, 0.0), math.nextafter(rho, math.inf),
+                  rho - 1e-9, rho + 1e-9):
+            for above in (True, False):
+                holds, value, certified, comps = _decide(g, t, above)
+                assert holds == (rho > t if above else rho < t), (g, t, above)
+                assert comps == len(components(g))
+                if not certified:
+                    assert value == rho
+                outcomes.add((holds, certified))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_nested_and_twin_pairs_are_inapplicable_in_the_census():
+    # the rotation fuzz skips these pairs before any solve: in every
+    # connected graph with n <= 7, each such ordered pair either has nothing
+    # to move from v to u or moves toward the smaller Perron entry
+    skipped = 0
+    for n in range(2, 8):
+        for g in connected_census(n):
+            perron = spectral_radius(g).perron
+            for u in range(n):
+                for v in range(n):
+                    nu, nv = g.adj[u] & ~(1 << v), g.adj[v] & ~(1 << u)
+                    if u == v or (nu & nv) not in (nu, nv):
+                        continue
+                    skipped += 1
+                    movable = g.adj[v] & ~g.adj[u] & ~(1 << u)
+                    assert not movable or perron[u] < perron[v] - PERRON_TIE_TOL, (g, u, v)
+    assert skipped > 10000
+
+
+def test_monotonicity_fuzz_decides_each_subgraph(monkeypatch):
+    # a violation in the edge deletion still lets the vertex deletion of the
+    # same trial be checked and recorded; the trial counts once
+    calls = []
+    decide = transforms._subgraph_check
+
+    def planted(h, host):
+        calls.append(h)
+        if len(calls) % 2:
+            raise ViolationError("planted")
+        return decide(h, host)
+
+    monkeypatch.setattr(transforms, "_subgraph_check", planted)
+    report = fuzz_subgraph_monotonicity(trials=20, seed=3, max_n=9)
+    assert report.applicable == report.trials == 20
+    assert len(calls) == 40
+    assert report.violations == ["planted"] * 20
+    assert 1e-10 < report.min_margin < math.inf
