@@ -51,33 +51,8 @@ are the floating-point operations of the five loops the C kernel runs (one
 each for z, rho, the residual, y with its norm, and x = y / sqrt(norm)), in
 the same order, so the results are the same bits as those loops give in
 Python. Only the test ||r||_inf <= t, r = z - rho x and t = tol * max(1, rho),
-needs the finished rho and a second loop, and the pass can often prove the
-test fails without it. For unit x and rho = x.z,
-
-    ||z - rho x||^2 = ||z||^2 - rho^2 = ||z + x||^2 - (rho + 1)^2
-                    = norm - (rho + 1)^2,
-
-and ||r||_inf >= ||r||_2 / sqrt(size), so the test fails when
-norm - (rho + 1)^2 > size t^2. In floating point x is unit only to about
-(size + 3) eps, the computed rho is off by at most size eps rho, and
-forming norm, (rho + 1)^2 and their difference adds a few eps norm: the
-estimate is within about 4 size eps norm (under 6e-14 norm at size 64) of
-the exact ||z - rho x||^2 of the computed z, x and rho. The loop rounds
-each |z_i - rho x_i| by at most 2 eps rho and a relative eps, so it finds
-an entry over t whenever the exact ||r||_inf^2 exceeds
-t^2 (1 + 1e-12) + 2e-18 rho^2. The loop is therefore skipped only when
-
-    norm - (rho + 1)^2 > size t^2 + 1e-12 (norm + size t^2),
-
-which leaves, beside the 1e-12 size t^2 the loop needs, over 15 times the
-estimate's error (size <= 64, norm >= rho^2); then the loop would have
-failed the test. Otherwise it runs and stops at the first entry
-over t. The full maximum (_residual) is taken only where it is returned: at
-convergence, and at the last iteration, whose residual a non-converged
-return reports. The subtraction cancels the bound's precision near
-convergence: once ||r||_2 falls below about 1e-6 (rho + 1) the loop runs
-every iteration, which is about half of them at tol = 1e-12, but it then
-stops after one or two entries.
+needs the finished rho and a second loop, which stops at the first entry
+over t; the full maximum (_residual) is taken only where it is returned.
 
 power_iteration also returns the Collatz-Wielandt bracket of an iterate x:
 for a nonnegative matrix B and x > 0,
@@ -468,8 +443,8 @@ def power_iteration(adj, n, comp_mask, tol, max_iter, threshold, /):
     converged, lower, upper) with x a list of n floats indexed by vertex,
     0.0 off the component, unit Euclidean norm. Every loop visits the
     component's vertices in ascending order and takes adj[v] & comp_mask as
-    v's neighbours. One pass over the rows per iteration, and the residual
-    test as the module docstring derives it.
+    v's neighbours. One pass over the rows per iteration, then the residual
+    test, as the module docstring states.
 
     [lower, upper] is the Collatz-Wielandt bracket of the x that rho and the
     residual belong to (the returned x, except at the cap, which returns the
@@ -514,23 +489,17 @@ def power_iteration(adj, n, comp_mask, tol, max_iter, threshold, /):
             y[i] = acc
             norm += acc * acc
         bound = tol * (rho if rho > 1.0 else 1.0)
-        if it == max_iter:
-            # a non-converged return reports this residual
-            resid = _residual(z, x, rho)
-            if resid <= bound:
-                return (rho, x, it, resid, True) + _bracket(pick(z), pick(x), rel)
+        # the first entry of z - rho x over the bound fails the test, and so
+        # does a NaN bound, as in the C kernel
+        for i, _ in rows:
+            d = z[i] - rho * x[i]
+            if not d <= bound or -d > bound:
+                break
         else:
-            floor = size * bound * bound
-            if norm - (rho + 1.0) ** 2 <= floor + 1e-12 * (norm + floor):
-                # the bound cannot rule convergence out: look for an entry
-                # of z - rho x over the bound, and stop at the first
-                for i, _ in rows:
-                    d = z[i] - rho * x[i]
-                    if d > bound or -d > bound:
-                        break
-                else:
-                    return (rho, x, it, _residual(z, x, rho), True) \
-                        + _bracket(pick(z), pick(x), rel)
+            return (rho, x, it, _residual(z, x, rho), True) + _bracket(pick(z), pick(x), rel)
+        if it == max_iter:
+            # the return at the cap reports this residual with the next x
+            resid = _residual(z, x, rho)
         if decide or it == max_iter:
             lower, upper = _bracket(pick(z), pick(x), rel)
             if lower > threshold or upper < threshold:

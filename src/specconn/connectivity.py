@@ -29,7 +29,8 @@ Both searches refuse a disconnected graph, and both check with the same
 code on either backend: min_cut_values floods from vertex 0 of all its
 graphs at once, with row v of every graph packed into one int, a block of
 bits per graph, as in the pure kernel's batches (_require_connected); min_cut
-is the flood of one graph.
+is the flood of one graph. The error names the first disconnected graph in
+input order, by its graph6, which only the error path looks for.
 """
 
 import struct
@@ -40,7 +41,7 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 from . import kernels
-from .graphs import Graph
+from .graphs import Graph, graph6_encode
 
 
 class CutMode(IntEnum):
@@ -159,7 +160,8 @@ def min_cut_values(graphs: Sequence[Graph], query: CutQuery) -> list[int | None]
 
 
 def _require_connected(adjs: Sequence[tuple[int, ...]], n: int) -> None:
-    """Raise unless every adjacency, each of order n, is connected.
+    """Raise unless every adjacency, each of order n, is connected; the
+    error names the first disconnected one by its graph6.
 
     One flood from vertex 0 of all of them at once. Graph i owns a block of
     w bits of one int, w the least of 8, 16, 32 and 64 that holds a row,
@@ -184,4 +186,8 @@ def _require_connected(adjs: Sequence[tuple[int, ...]], n: int) -> None:
             # row v, in the blocks that reach v
             reach |= row & (has << w) - has
     if reach != ones * ((1 << n) - 1):
-        raise ValueError("cut search expects a connected graph")
+        # the error path only: name the first disconnected graph
+        bad = next(adj for adj in adjs if len(kernels.components_masks(adj, n, 0)) > 1)
+        raise ValueError(
+            f"cut search expects a connected graph, got {graph6_encode(Graph(n, bad))}"
+        )

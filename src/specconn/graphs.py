@@ -130,9 +130,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return vertices_of(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             row = self.adj[u] >> (u + 1) << (u + 1)
@@ -249,10 +246,11 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
 # ---------------------------------------------------------------------------
 # graph6 codec
 #
-# One printable-ASCII record per graph: size byte n+63 for n <= 62 (decode
-# also accepts the '~'-prefixed multi-byte size header), then the upper
-# triangle x(0,1), x(0,2), x(1,2), x(0,3), ... packed big-endian into 6-bit
-# groups, each offset by 63; the final group is zero-padded.
+# One printable-ASCII record per graph: size byte n+63 for n <= 62, else '~'
+# and n in three 6-bit bytes, each offset by 63 (decode accepts that header at
+# any n), then the upper triangle x(0,1), x(0,2), x(1,2), x(0,3), ... packed
+# big-endian into 6-bit groups, each offset by 63; the final group is
+# zero-padded.
 #
 # Decoding works a character at a time, from per-order data built on first
 # use (_graph6_plan). The bits of one payload character land in the lower
@@ -268,9 +266,10 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
 # upper triangle, and the rows are read off the bytes of the two together.
 
 def graph6_encode(g: Graph) -> str:
-    if g.n > 62:
-        raise ValueError("graph6 encoding supports n <= 62 (single size byte)")
-    out = [chr(g.n + 63)]
+    if g.n <= 62:
+        out = [chr(g.n + 63)]
+    else:
+        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
     group = 0
     nbits = 0
     for col in range(1, g.n):

@@ -99,14 +99,11 @@ class RhoBounds:
     lower and upper are the greatest lower and the greatest upper
     Collatz-Wielandt bound over the components solved; upper is inf when a
     component whose lower bound cleared t stopped the solve before the
-    rest. rho is the greatest converged rho of the components whose bracket
-    never excluded t, None when every bracket did. components counts the
-    components of g.
+    rest. components counts the components of g.
     """
 
     lower: float
     upper: float
-    rho: float | None
     components: int
 
 
@@ -116,26 +113,21 @@ def rho_bounds(g: Graph, threshold: float, tol: float = DEFAULT_TOL) -> RhoBound
 
     Each component is solved with the kernel's threshold: it stops at the
     first bracket that excludes the threshold, or at spectral_radius's
-    convergence, whichever comes first; a converged component whose bracket
-    still holds the threshold gives its rho. The first component whose lower
+    convergence, whichever comes first. The first component whose lower
     bound clears the threshold decides rho(g) > threshold, and the rest are
     not solved. tol, the cap and their errors are spectral_radius's.
     """
     cap = _checked_cap(g.n, tol)
     comps = components(g)
     lower = upper = 0.0
-    rho = None
     for i, comp in enumerate(comps):
-        value, _, _, _, _, low, high = _solve(g, comp, tol, cap, threshold)
+        _, _, _, _, _, low, high = _solve(g, comp, tol, cap, threshold)
         lower, upper = max(lower, low), max(upper, high)
         if low > threshold:
             if i + 1 < len(comps):
                 upper = math.inf
             break
-        if not high < threshold:
-            # the bracket never excluded the threshold, so the solve converged
-            rho = value if rho is None else max(rho, value)
-    return RhoBounds(lower, upper, rho, len(comps))
+    return RhoBounds(lower, upper, len(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ The rotation and monotonicity checks solve the host graph to convergence
 and decide the other graph against the host's rho plus or minus
 STRICT_MARGIN by its Collatz-Wielandt bracket (spectral.rho_bounds): a
 bracket that clears that threshold on the side the inequality asserts is a
-certified pass, and its bound is what the check reports. Otherwise the
-converged rho is compared with the threshold as a plain float, and a
-violation reports the converged value. Either way a check passes exactly
+certified pass, and its bound is what the check reports. Otherwise
+spectral_radius's converged rho is compared with the threshold as a plain
+float, and a violation reports that value. Either way a check passes exactly
 when the comparison of the two converged rhos passes.
 """
 
@@ -78,19 +78,15 @@ def _decide(graph: Graph, t: float, above: bool) -> tuple[bool, float, bool, int
     or rho(graph) < t (below), the one decision both checks make.
 
     A bracket that clears t on that side is a certified pass, and value is
-    its bound. Otherwise value is the converged rho and holds is its float
-    comparison with t: the bracket's own converged rho when no component
-    cleared t on the other side, else spectral_radius's, for the violation
-    to report. components comes from the component flood."""
+    its bound. Otherwise value is spectral_radius's converged rho and holds
+    is its float comparison with t. components comes from the component
+    flood."""
     bounds = rho_bounds(graph, t)
     if above and bounds.lower > t:
         return True, bounds.lower, True, bounds.components
     if not above and bounds.upper < t:
         return True, bounds.upper, True, bounds.components
-    if bounds.lower <= t <= bounds.upper:
-        rho = bounds.rho
-    else:
-        rho = spectral_radius(graph).rho
+    rho = spectral_radius(graph).rho
     return (rho > t if above else rho < t), rho, False, bounds.components
 
 

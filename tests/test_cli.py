@@ -150,6 +150,16 @@ def test_transform_rotate(capsys):
     assert sorted(got.edges()) == [(0, 1), (0, 3), (0, 4), (1, 2), (3, 4)]
 
 
+def test_transform_rotate_prints_orders_past_62(capsys):
+    # the rotated C63 is written with graph6's long size header
+    record = graph6_encode(cycle_graph(63))
+    code, out, _ = run(["transform", "rotate", record, "--u", "0", "--v", "2", "--moved", "3"], capsys)
+    assert code == 0
+    assert out.startswith("~??~")
+    got = graph6_decode(out.strip())
+    assert set(got.edges()) == set(cycle_graph(63).edges()) - {(2, 3)} | {(0, 3)}
+
+
 def test_transform_rotate_with_check(capsys):
     record = graph6_encode(cycle_graph(5))
     code, out, _ = run(
@@ -359,6 +369,21 @@ def test_verify_ingested_file(tmp_path, capsys):
     )
     assert code == 0
     assert out.count("[CONFIRMED]") == 6
+
+
+def test_verify_names_a_disconnected_input_graph(tmp_path, capsys):
+    # geng output without -c holds disconnected graphs; the error names the
+    # first one in the file
+    lines = [graph6_encode(g) for g in connected_census(6)[:40]]
+    lines[25:25] = ["EhC?", "EwCW"]  # P5 plus an isolated vertex, then 2K3
+    path = tmp_path / "mixed.g6"
+    path.write_text("".join(line + "\n" for line in lines))
+    code, out, err = run(
+        ["verify", "--n", "6", "--g", "1", "--r", "2", "--all-classes", "--input", str(path)],
+        capsys,
+    )
+    assert code == 1
+    assert err == "error: cut search expects a connected graph, got EhC?\n"
 
 
 def test_verify_incomplete_census_exits_two(tmp_path, capsys):

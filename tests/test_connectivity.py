@@ -17,6 +17,7 @@ from specconn.graphs import (
     degree_profile,
     empty_graph,
     from_edges,
+    graph6_encode,
     is_connected,
     mask_of,
     path_graph,
@@ -151,9 +152,13 @@ def test_min_cut_values_match_min_cut(rng):
 
 def test_min_cut_values_rejects_disconnected_and_mixed_orders():
     split = from_edges(5, [(0, 1), (2, 3), (3, 4)])
-    for graphs in ([split], [path_graph(5), split], [path_graph(5)] * 3 + [split]):
-        with pytest.raises(ValueError, match="cut search expects a connected graph"):
+    lone = from_edges(5, [(1, 2), (2, 3), (3, 4)])
+    # the error names the first disconnected graph
+    for graphs in ([split], [path_graph(5), split], [path_graph(5)] * 3 + [split, lone]):
+        with pytest.raises(ValueError) as exc:
             min_cut_values(graphs, CutQuery(1, 2))
+        message = f"cut search expects a connected graph, got {graph6_encode(split)}"
+        assert str(exc.value) == message
     with pytest.raises(ValueError, match="orders 5 and 6"):
         min_cut_values([path_graph(5), path_graph(6)], CutQuery(1, 2))
 
@@ -194,12 +199,13 @@ def test_chunk_connectivity_check_on_both_backends(compiled, monkeypatch, backen
     for where in (0, 255, 511, 128):
         for bad in (lone_zero, halves):
             source = census[:where] + [bad] + census[where:]
+            message = f"cut search expects a connected graph, got {graph6_encode(bad)}"
             with pytest.raises(ValueError) as exc:
                 min_cut_values(source, query)
-            assert str(exc.value) == "cut search expects a connected graph"
+            assert str(exc.value) == message
             with pytest.raises(ValueError) as exc:
                 run_verification(8, 1, 2, source=iter(source))
-            assert str(exc.value) == "cut search expects a connected graph"
+            assert str(exc.value) == message
     want = [None if (cut := min_cut(h, query)) is None else cut.value for h in census]
     assert min_cut_values(census, query) == want
 
@@ -215,7 +221,8 @@ def test_chunk_connectivity_check_matches_is_connected(rng):
             try:
                 min_cut_values([path_graph(n), h, path_graph(n)], CutQuery(1, 2))
             except ValueError as exc:
-                connected = str(exc) != "cut search expects a connected graph"
+                message = f"cut search expects a connected graph, got {graph6_encode(h)}"
+                connected = str(exc) != message
             else:
                 connected = True
             assert connected == is_connected(h), (n, h)

@@ -97,11 +97,18 @@ def test_decode_of_every_small_payload_is_a_valid_graph():
             assert graph6_encode(g) == record
 
 
-def test_encode_caps_at_62():
-    with pytest.raises(ValueError):
-        graph6_encode(empty_graph(63))
-    # 62 is fine
-    assert graph6_decode(graph6_encode(empty_graph(62))).n == 62
+def test_encode_uses_the_long_size_header_past_62(rng):
+    # one size byte up to n = 62, then '~' and three bytes, as networkx
+    # writes it; every order round-trips through graph6_decode
+    assert graph6_encode(empty_graph(62)) == chr(62 + 63) + "?" * 316
+    assert graph6_encode(empty_graph(63)) == "~??~" + "?" * 326
+    assert graph6_encode(complete_graph(64))[:4] == "~?@?"
+    for n in range(1, 65):
+        g = random_graph(rng, n, rng.random())
+        record = graph6_encode(g)
+        assert graph6_decode(record) == g, n
+        h = nx.from_graph6_bytes(record.encode())
+        assert nx.to_graph6_bytes(h, header=False).decode().strip() == record, n
 
 
 def test_padding_is_zero():

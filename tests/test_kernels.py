@@ -433,17 +433,30 @@ def test_power_iteration_matches_five_loop_oracle(rng, tol):
 
 
 def test_power_iteration_loose_tolerances_match_oracle(rng):
-    # the residual bound's margin scales with size * tol^2 as well, so a
-    # skipped residual stays sound for tolerances far past the solver's
+    # tolerances far past the solver's, and zero: the residual test stops at
+    # the first entry over the bound and still decides as the full maximum
     for tol in (1e-3, 0.5, 10.0, 0.0):
         for adj, n, mask in _power_cases(rng):
             args = (adj, n, mask, tol, 40, NAN)
             assert _kernels_py.power_iteration(*args) == _scattered_oracle(*args)
 
 
+def test_power_iteration_nan_tolerance_never_converges(compiled, rng):
+    # a NaN tolerance fails every residual test, on both backends and in the
+    # oracle: the run stops at the cap
+    for n in (2, 5, 9, 17):
+        g = random_graph(rng, n, 0.5)
+        for mask in _kernels_py.components_masks(g.adj, n, 0):
+            args = (g.adj, n, mask, NAN, 30, NAN)
+            got = _kernels_py.power_iteration(*args)
+            assert got == compiled.power_iteration(*args) == _scattered_oracle(*args)
+            single = mask & mask - 1 == 0
+            assert got[4] == single and got[2] == (0 if single else 30)
+
+
 def test_power_iteration_unconverged_return_matches_oracle(rng):
     # a run cut off by max_iter returns the x of its last normalisation with
-    # the residual of its last iteration, which the shortcut must still take
+    # the full residual of its last iteration, not the early-exit scan's
     for n in (2, 3, 5, 8, 9, 16, 17, 33, 64):
         g = random_graph(rng, n, 0.3)
         for mask in _kernels_py.components_masks(g.adj, n, 0) + [g.vertex_mask]:

@@ -90,15 +90,14 @@ def test_rho_bounds_decide_component_by_component():
     # C4 (rho 2) is the first component, K5 (rho 4) the second; both are
     # regular, so the first iterate is their Perron vector
     g = disjoint_union(cycle_graph(4), complete_graph(5))
-    below = rho_bounds(g, 3.0)  # C4 clears below, K5 above: no converged rho
-    assert below.rho is None and below.components == 2
+    below = rho_bounds(g, 3.0)  # C4 clears below, K5 above
+    assert below.components == 2
     assert 3.0 < below.lower <= 4.0 <= below.upper < 4.0 + 1e-12
     early = rho_bounds(g, 1.0)  # C4 clears above and K5 is never solved
-    assert early.rho is None and 1.0 < early.lower <= 2.0 and early.upper == math.inf
+    assert 1.0 < early.lower <= 2.0 and early.upper == math.inf
     above = rho_bounds(g, 5.0)  # both clear below
-    assert above.rho is None and 4.0 <= above.upper < 5.0
-    tied = rho_bounds(g, 4.0)  # K5's bracket holds 4: its converged rho
-    assert tied.rho == spectral_radius(g).rho
+    assert 4.0 <= above.upper < 5.0
+    tied = rho_bounds(g, 4.0)  # K5's bracket holds 4: it converged
     assert tied.lower <= 4.0 <= tied.upper
     for tol in (0.0, math.nan):
         with pytest.raises(ValueError) as exc:
@@ -113,11 +112,10 @@ def test_rho_bounds_hold_the_dense_rho(rng):
         for t in (exact - 1e-7, exact + 1e-7, exact / 2, exact + 1.0, spectral_radius(g).rho):
             bounds = rho_bounds(g, t)
             assert bounds.lower <= exact <= bounds.upper, (g, t)
-            if bounds.rho is not None:
-                # a bracket holding t converged: the rho spectral_radius gives
-                # whenever that component is the dominant one
-                assert bounds.lower <= t <= bounds.upper
-                assert bounds.rho == pytest.approx(exact, abs=1e-9)
+            if bounds.lower <= t <= bounds.upper:
+                # a bracket that holds t converged, so t lies within its
+                # width of the dense rho
+                assert t == pytest.approx(exact, abs=1e-9)
 
 
 def test_iteration_cap_floors_tol_at_machine_epsilon():

@@ -328,3 +328,19 @@ def test_monotonicity_fuzz_decides_each_subgraph(monkeypatch):
     assert len(calls) == 40
     assert report.violations == ["planted"] * 20
     assert 1e-10 < report.min_margin < math.inf
+
+
+@pytest.mark.parametrize("seed, rotation, monotonicity", [
+    (0, (158, 100, 0, 3, "0x1.d25689b338000p-13"), (100, 100, 0, 0, "0x1.5de07da1f3000p-11")),
+    (1, (172, 100, 0, 4, "0x1.5732cf3e3a000p-10"), (100, 100, 0, 0, "0x1.32901b748e000p-11")),
+    (2, (154, 100, 0, 5, "0x1.6c3a2340e5000p-9"), (100, 100, 0, 0, "0x1.3623426c28000p-13")),
+])
+def test_fuzz_reports_are_pinned_to_the_bit(seed, rotation, monotonicity):
+    # the trials each harness draws and the certified margins it reports,
+    # to the bit: a change to the eigen path that moves any bound shows here
+    for fuzz, expected in ((fuzz_rotation_increase, rotation),
+                           (fuzz_subgraph_monotonicity, monotonicity)):
+        report = fuzz(100, seed, 16)
+        got = (report.trials, report.applicable, len(report.violations),
+               report.disconnected_results, report.min_margin.hex())
+        assert got == expected, (fuzz.__name__, seed)

@@ -273,11 +273,12 @@ def test_disconnected_source_graph_raises(monkeypatch, where):
     # next chunk, and last of the source
     monkeypatch.setattr(verify, "SCAN_CHUNK", 16)
     census = connected_census(6)
-    source = census[:where] + [from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5)])] + census[where:]
+    bad = from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5)])
+    source = census[:where] + [bad] + census[where:]
     for jobs in (1, 2):
         with pytest.raises(ValueError) as exc:
             run_verification(6, 1, 2, source=iter(source), jobs=jobs)
-        assert str(exc.value) == "cut search expects a connected graph"
+        assert str(exc.value) == f"cut search expects a connected graph, got {graph6_encode(bad)}"
 
 
 def test_scan_encodes_only_reported_graphs(monkeypatch):
