@@ -39,12 +39,20 @@ class SpectralResult:
     is supported on the first dominant component (zero elsewhere), so strict
     positivity only holds for connected graphs. residual is the infinity norm
     of A*x - rho*x on the dominant component.
+
+    lower and upper are the Collatz-Wielandt bracket of the returned
+    iterates, each end the maximum over components, so that
+    lower <= rho(g) <= upper holds at any tol, however loose. rho lies in
+    the bracket too: it is the Rayleigh quotient of its component's
+    iterate, a weighted mean of the ratios (Ax)_i / x_i the bracket spans.
     """
 
     rho: float
     perron: tuple[float, ...]
     iterations: int
     residual: float
+    lower: float
+    upper: float
 
 
 def iteration_cap(n: int, tol: float) -> int:
@@ -82,13 +90,15 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """
     cap = _checked_cap(g.n, tol)
     best = None
+    lower = upper = 0.0
     for comp in components(g):
-        rho, x, iters, resid, _, _, _ = _solve(g, comp, tol, cap, math.nan)
+        rho, x, iters, resid, _, low, high = _solve(g, comp, tol, cap, math.nan)
+        lower, upper = max(lower, low), max(upper, high)
         if best is None or rho > best[0]:
             best = (rho, x, iters, resid)
     assert best is not None
     rho, x, iters, resid = best
-    return SpectralResult(rho, tuple(x), iters, resid)
+    return SpectralResult(rho, tuple(x), iters, resid, lower, upper)
 
 
 @dataclass(frozen=True)

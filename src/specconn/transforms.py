@@ -7,23 +7,34 @@ fails by more than the safety margin. The margins sit two orders above the
 eigensolver tolerance so a violation means a genuine counterexample (or
 solver bug), not float noise.
 
-The rotation and monotonicity checks solve the host graph to convergence
-and decide the other graph against the host's rho plus or minus
-STRICT_MARGIN by its Collatz-Wielandt bracket (spectral.rho_bounds): a
-bracket that clears that threshold on the side the inequality asserts is a
-certified pass, and its bound is what the check reports. Otherwise
-spectral_radius's converged rho is compared with the threshold as a plain
-float, and a violation reports that value. Either way a check passes exactly
-when the comparison of the two converged rhos passes.
+The rotation and monotonicity checks decide the other graph by its
+Collatz-Wielandt bracket (spectral.rho_bounds) against the host's own
+bracket end: the rotated graph against the host's upper bound plus
+STRICT_MARGIN, the subgraph against the host's lower bound minus
+STRICT_MARGIN. A bracket that clears that threshold is a certified pass on
+both sides, and the check reports its bound and a margin that is a
+certified lower bound on the true gap. Otherwise a loose host is solved to
+convergence and the check is made again on it; on a converged host, the
+other graph is solved to convergence too and the two converged rhos are
+compared as plain floats, and a violation reports those values. Either way
+a check passes exactly when the comparison of the two converged rhos
+passes.
+
+The public checks solve the host to convergence. The fuzz harnesses solve
+it only to HOST_TOL, since their decisions need no more than the host's
+bracket and the Perron order of one vertex pair, and converge it only for a
+check whose bracket does not decide or a pair whose entries are too close
+to order. A host whose rho lies outside its own bracket is a solver fault,
+and the checks report it as a violation.
 """
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .graphs import (
     MAX_VERTICES,
     Graph,
-    add_edges,
     is_connected,
     mask_of,
     remove_edges,
@@ -32,6 +43,7 @@ from .graphs import (
 )
 from .families import Shape
 from .spectral import (
+    DEFAULT_TOL,
     SpectralResult,
     ViolationError,
     quotient_spectral_radius,
@@ -41,6 +53,9 @@ from .spectral import (
 
 STRICT_MARGIN = 1e-10
 PERRON_TIE_TOL = 1e-12
+# the fuzz harnesses' host tolerance: about 8 iterations per host at n <= 16
+# against 28 at DEFAULT_TOL
+HOST_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -68,9 +83,13 @@ class RotationSpec:
 def rotate(g: Graph, spec: RotationSpec) -> Graph:
     """Apply the rotation; edge count is preserved, only deg(u), deg(v) change."""
     spec.validate(g)
-    targets = vertices_of(spec.moved)
-    h = remove_edges(g, [(spec.v, w) for w in targets])
-    return add_edges(h, [(spec.u, w) for w in targets])
+    u, v, moved = spec.u, spec.v, spec.moved
+    rows = list(g.adj)
+    rows[u] |= moved
+    rows[v] &= ~moved
+    for w in vertices_of(moved):
+        rows[w] = rows[w] & ~(1 << v) | 1 << u
+    return Graph(g.n, tuple(rows))
 
 
 def _decide(graph: Graph, t: float, above: bool) -> tuple[bool, float, bool, int]:
@@ -90,13 +109,49 @@ def _decide(graph: Graph, t: float, above: bool) -> tuple[bool, float, bool, int
     return (rho > t if above else rho < t), rho, False, bounds.components
 
 
+class _Host:
+    """A check's host graph g and its spectral_radius, solved at tol and
+    solved again at DEFAULT_TOL the first time a check needs it converged."""
+
+    def __init__(self, g: Graph, tol: float = DEFAULT_TOL) -> None:
+        self.g = g
+        self.tol = tol
+        self.result = spectral_radius(g, tol)
+
+    def converged(self) -> SpectralResult:
+        if self.tol != DEFAULT_TOL:
+            self.result, self.tol = spectral_radius(self.g), DEFAULT_TOL
+        return self.result
+
+    def solves(self) -> Iterator[SpectralResult]:
+        """The current result, then the converged one if that is another
+        solve, each once its rho is seen to lie in its bracket."""
+        yield _in_bracket(self.result)
+        if self.tol != DEFAULT_TOL:
+            yield _in_bracket(self.converged())
+
+
+def _in_bracket(host: SpectralResult) -> SpectralResult:
+    """host, once its rho is seen to lie in its own bracket (to within
+    STRICT_MARGIN), as a Rayleigh quotient must; a solver fault otherwise."""
+    if not host.lower - STRICT_MARGIN <= host.rho <= host.upper + STRICT_MARGIN:
+        raise ViolationError(
+            f"host rho {host.rho!r} lies outside its bracket "
+            f"[{host.lower!r}, {host.upper!r}]"
+        )
+    return host
+
+
 @dataclass(frozen=True)
 class RotationCheck:
-    """rho_before and the Perron entries are the host's converged values.
-    rho_after is a lower bound on rho after the rotation when certified (the
-    Collatz-Wielandt bound that cleared rho_before + STRICT_MARGIN), else
-    the converged rho; None when inapplicable. result_connected is read off
-    the rotated graph's component flood."""
+    """rho_before and the Perron entries are the host's values (converged
+    for check_rotation_increase). rho_after is a lower bound on rho after
+    the rotation when certified (the Collatz-Wielandt bound that cleared the
+    host's upper bound plus STRICT_MARGIN), else the converged rho; None
+    when inapplicable. margin is rho_after minus the host's upper bound when
+    certified, a certified lower bound on the increase, else rho_after -
+    rho_before. result_connected is read off the rotated graph's component
+    flood."""
 
     applicable: bool
     rho_before: float
@@ -105,42 +160,58 @@ class RotationCheck:
     x_v: float
     result_connected: bool | None
     certified: bool = False
+    margin: float | None = None
 
 
 def check_rotation_increase(g: Graph, spec: RotationSpec) -> RotationCheck:
     """If x(u) >= x(v), rotating strictly increases the spectral radius.
 
-    Near-ties (|x(u)-x(v)| <= 1e-12, e.g. symmetric vertices) count as
-    satisfying the hypothesis. When x(u) < x(v) the check is inapplicable and
-    nothing is asserted. Rotations that disconnect the result are evaluated
-    anyway (rho = max over components) and flagged via result_connected.
+    g must be connected: elsewhere the Perron vector is 0 off the dominant
+    component and says nothing about the pair. Near-ties
+    (|x(u)-x(v)| <= 1e-12, e.g. symmetric vertices) count as satisfying the
+    hypothesis. When x(u) < x(v) the check is inapplicable and nothing is
+    asserted. Rotations that disconnect the result are evaluated anyway
+    (rho = max over components) and flagged via result_connected.
     """
+    if not is_connected(g):
+        raise ValueError("the host graph must be connected")
     spec.validate(g)
-    return _rotation_check(g, spec, spectral_radius(g))
+    return _rotation_check(_Host(g), spec)
 
 
-def _rotation_check(g: Graph, spec: RotationSpec, host: SpectralResult) -> RotationCheck:
-    """check_rotation_increase for a spec already validated on g, whose
-    spectral_radius is host."""
-    x_u, x_v = host.perron[spec.u], host.perron[spec.v]
-    if x_u < x_v - PERRON_TIE_TOL:
-        return RotationCheck(False, host.rho, None, x_u, x_v, None)
-    holds, after, certified, comps = _decide(rotate(g, spec), host.rho + STRICT_MARGIN, True)
-    if not holds:
+def _rotation_check(host: _Host, spec: RotationSpec) -> RotationCheck:
+    """check_rotation_increase for a spec already validated on the
+    connected host.g. A loose host whose bracket does not decide is
+    converged, and the whole check, Perron order included, is made again
+    on it as check_rotation_increase makes it."""
+    star = None
+    for res in host.solves():
+        x_u, x_v = res.perron[spec.u], res.perron[spec.v]
+        if x_u < x_v - PERRON_TIE_TOL:
+            return RotationCheck(False, res.rho, None, x_u, x_v, None)
+        if star is None:
+            star = rotate(host.g, spec)
+        _, after, certified, comps = _decide(star, res.upper + STRICT_MARGIN, True)
+        if certified:
+            return RotationCheck(True, res.rho, after, x_u, x_v, comps == 1, True,
+                                 after - res.upper)
+    if not after > res.rho + STRICT_MARGIN:
         raise ViolationError(
-            f"rotation failed to increase rho: {host.rho!r} -> {after!r} "
+            f"rotation failed to increase rho: {res.rho!r} -> {after!r} "
             f"(u={spec.u}, v={spec.v}, moved={vertices_of(spec.moved)})"
         )
-    return RotationCheck(True, host.rho, after, x_u, x_v, comps == 1, certified)
+    return RotationCheck(True, res.rho, after, x_u, x_v, comps == 1, False, after - res.rho)
 
 
 @dataclass(frozen=True)
 class MonotonicityCheck:
-    """rho_super is the host's converged rho. rho_sub is an upper bound on
-    the subgraph's rho when certified (the Collatz-Wielandt bound that
-    cleared rho_super - STRICT_MARGIN), else its converged rho, so that
-    margin = rho_super - rho_sub is then a certified lower bound on
-    rho_super - rho(subgraph)."""
+    """rho_super is the host's rho (converged for
+    check_subgraph_monotonicity). rho_sub is an upper bound on the
+    subgraph's rho when certified (the Collatz-Wielandt bound that cleared
+    the host's lower bound minus STRICT_MARGIN), and margin is then that
+    lower bound minus rho_sub, a certified lower bound on
+    rho(host) - rho(subgraph). Otherwise rho_sub is the subgraph's converged
+    rho and margin = rho_super - rho_sub."""
 
     rho_sub: float
     rho_super: float
@@ -164,18 +235,22 @@ def check_subgraph_monotonicity(g: Graph, h: Graph) -> MonotonicityCheck:
             raise ValueError(f"not a subgraph: extra edges at vertex {v}")
     if h.n == g.n and h.edge_count() == g.edge_count():
         raise ValueError("not a proper subgraph: graphs are identical")
-    return _subgraph_check(h, spectral_radius(g))
+    return _subgraph_check(h, _Host(g))
 
 
-def _subgraph_check(h: Graph, host: SpectralResult) -> MonotonicityCheck:
-    """check_subgraph_monotonicity for a proper subgraph h of a connected
-    host whose spectral_radius is host."""
-    holds, sub, certified, _ = _decide(h, host.rho - STRICT_MARGIN, False)
-    if not holds:
+def _subgraph_check(h: Graph, host: _Host) -> MonotonicityCheck:
+    """check_subgraph_monotonicity for a proper subgraph h of the connected
+    host.g. A loose host whose bracket does not decide is converged, and the
+    check is made again on it as check_subgraph_monotonicity makes it."""
+    for res in host.solves():
+        _, sub, certified, _ = _decide(h, res.lower - STRICT_MARGIN, False)
+        if certified:
+            return MonotonicityCheck(sub, res.rho, res.lower - sub, True)
+    if not sub < res.rho - STRICT_MARGIN:
         raise ViolationError(
-            f"proper subgraph did not lose spectral radius: {sub!r} vs {host.rho!r}"
+            f"proper subgraph did not lose spectral radius: {sub!r} vs {res.rho!r}"
         )
-    return MonotonicityCheck(sub, host.rho, host.rho - sub, certified)
+    return MonotonicityCheck(sub, res.rho, res.rho - sub, False)
 
 
 @dataclass(frozen=True)
@@ -240,6 +315,10 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 
 @dataclass
 class FuzzReport:
+    """min_margin is the least margin of the passing checks: a certified
+    lower bound on the gap to the true host rho where the bracket decided,
+    the difference of the two converged rhos elsewhere."""
+
     trials: int = 0
     applicable: int = 0
     violations: list[str] = field(default_factory=list)
@@ -268,10 +347,12 @@ def fuzz_rotation_increase(trials: int, seed: int, max_n: int = 10) -> FuzzRepor
     Each trial draws a graph and a vertex pair. A pair whose neighbourhoods
     N(u) - v and N(v) - u are nested or equal is skipped before any solve:
     its only nonempty move goes toward the smaller Perron entry, so the check
-    would be inapplicable. Otherwise the graph is solved once, the pair is
-    oriented so that x(u) >= x(v) - PERRON_TIE_TOL, and only then is the
-    moved set drawn from N(v) - N(u), so every solve makes one applicable
-    check."""
+    would be inapplicable. Otherwise the graph is solved to HOST_TOL, the
+    pair is oriented so that x(u) >= x(v) - PERRON_TIE_TOL, and only then is
+    the moved set drawn from N(v) - N(u). The loose entries orient the pair
+    only when they differ by more than 10 * HOST_TOL; closer ones are read
+    off the converged host. A trial whose check converges the host and finds
+    the order reversed is not counted as applicable."""
     _check_run(trials, max_n, 4)
     rng = random.Random(seed)
     report = FuzzReport()
@@ -283,19 +364,25 @@ def fuzz_rotation_increase(trials: int, seed: int, max_n: int = 10) -> FuzzRepor
         nu, nv = g.adj[u] & ~(1 << v), g.adj[v] & ~(1 << u)
         if (nu & nv) in (nu, nv):
             continue
-        host = spectral_radius(g)
-        if host.perron[u] < host.perron[v] - PERRON_TIE_TOL:
+        host = _Host(g, HOST_TOL)
+        x = host.result.perron
+        if abs(x[u] - x[v]) <= 10 * HOST_TOL:
+            x = host.converged().perron
+        if x[u] < x[v] - PERRON_TIE_TOL:
             u, v = v, u
         pool = vertices_of(g.adj[v] & ~g.adj[u] & ~(1 << u))
         chosen = [w for w in pool if rng.random() < 0.6] or [pool[0]]
-        report.applicable += 1
         try:
-            check = _rotation_check(g, RotationSpec(u, v, mask_of(chosen)), host)
+            check = _rotation_check(host, RotationSpec(u, v, mask_of(chosen)))
         except ViolationError as exc:
+            report.applicable += 1
             report.violations.append(str(exc))
             continue
-        assert check.rho_after is not None
-        report.min_margin = min(report.min_margin, check.rho_after - check.rho_before)
+        if not check.applicable:
+            continue
+        report.applicable += 1
+        assert check.margin is not None
+        report.min_margin = min(report.min_margin, check.margin)
         if check.result_connected is False:
             report.disconnected_results += 1
     return report
@@ -305,8 +392,9 @@ def fuzz_subgraph_monotonicity(trials: int, seed: int, max_n: int = 10) -> FuzzR
     """Random (G, G-e) and (G, G-v) pairs, G of order 3 to max_n; rho must
     strictly decrease.
 
-    G is solved once per trial, and both subgraphs are decided against that
-    solve, each on its own: a violation in one still checks the other, and
+    G is solved to HOST_TOL once per trial, and both subgraphs are decided
+    against that solve (converged at most once, when a bracket does not
+    decide), each on its own: a violation in one still checks the other, and
     the trial counts once. G - v keeps G's order: deleting the victim's
     edges leaves it isolated, an identity-embedded subgraph with the rho of
     G - v."""
@@ -317,8 +405,8 @@ def fuzz_subgraph_monotonicity(trials: int, seed: int, max_n: int = 10) -> FuzzR
         report.trials += 1
         n = rng.randint(3, max_n)
         g = random_connected_graph(rng, n)
-        host = spectral_radius(g)
-        e = rng.choice(sorted(g.edges()))
+        host = _Host(g, HOST_TOL)
+        e = rng.choice(list(g.edges()))
         victim = rng.randrange(n)
         isolated = remove_edges(g, [(victim, w) for w in vertices_of(g.adj[victim])])
         for h in (remove_edges(g, [e]), isolated):

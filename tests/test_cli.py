@@ -184,6 +184,15 @@ def test_transform_rotate_rejects_vertices_outside_the_graph(capsys):
         assert err == f"error: vertex {bad} is not in 0..4\n"
 
 
+def test_transform_rotate_check_rejects_a_disconnected_host(capsys):
+    # K4 + P3: a usage error, not a counterexample
+    code, out, err = run(["transform", "rotate", "FgCWw", "--u", "0", "--v", "1",
+                          "--moved", "2", "--check"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: the host graph must be connected\n"
+
+
 def test_transform_monotone(capsys):
     host = graph6_encode(complete_graph(5))
     sub = graph6_encode(complete_graph(4))

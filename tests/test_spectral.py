@@ -77,6 +77,23 @@ def test_disconnected_takes_max_over_components():
     assert spectral_radius(empty_graph(3)).rho == 0.0
 
 
+def test_result_bracket_holds_rho_at_any_tol(rng):
+    # the bracket of the returned iterates, the max over components of each
+    # end, holds numpy's lambda1 and the returned rho however loose the
+    # solve; at the default tol it is as tight as the residual
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 14), rng.choice((0.15, 0.4)))
+        exact = dense_rho(g)
+        for tol in (1e-12, 1e-4, 0.5):
+            res = spectral_radius(g, tol)
+            assert res.lower <= exact <= res.upper, (g, tol)
+            assert res.lower <= res.rho <= res.upper, (g, tol)
+        assert spectral_radius(g).upper - spectral_radius(g).lower < 1e-9
+    res = spectral_radius(disjoint_union(cycle_graph(4), complete_graph(5)), 0.5)
+    assert res.lower <= 4.0 <= res.upper < 4.0 + 1e-12  # K5's regular bracket
+    assert spectral_radius(empty_graph(3)).upper == 0.0
+
+
 def test_tolerance_validation():
     for tol in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError) as exc:

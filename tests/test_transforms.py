@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -11,18 +12,23 @@ from specconn.graphs import (
     complete_graph,
     components,
     from_edges,
+    graph6_decode,
     is_connected,
     mask_of,
     path_graph,
     remove_edges,
     vertices_of,
 )
-from specconn.spectral import ViolationError, spectral_radius
+from specconn.spectral import DEFAULT_TOL, ViolationError, spectral_radius
 from specconn.transforms import (
+    HOST_TOL,
     PERRON_TIE_TOL,
     STRICT_MARGIN,
     RotationSpec,
     _decide,
+    _Host,
+    _rotation_check,
+    _subgraph_check,
     check_join_rebalance,
     check_rotation_increase,
     check_subgraph_monotonicity,
@@ -113,6 +119,16 @@ def test_rotation_inapplicable_when_target_entry_smaller():
     check = check_rotation_increase(g, RotationSpec(2, 0, movable))
     assert not check.applicable
     assert check.rho_after is None
+
+
+def test_rotation_rejects_a_disconnected_host():
+    # K4 + P3: the Perron vector is 0 on the path, so its entries tie and
+    # say nothing about the pair; the check refuses the host as the
+    # monotonicity check does
+    g = graph6_decode("FgCWw")
+    assert len(components(g)) == 2
+    with pytest.raises(ValueError, match="^the host graph must be connected$"):
+        check_rotation_increase(g, RotationSpec(0, 1, mask_of([2])))
 
 
 def test_monotonicity_examples():
@@ -331,9 +347,9 @@ def test_monotonicity_fuzz_decides_each_subgraph(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, rotation, monotonicity", [
-    (0, (158, 100, 0, 3, "0x1.d25689b338000p-13"), (100, 100, 0, 0, "0x1.5de07da1f3000p-11")),
-    (1, (172, 100, 0, 4, "0x1.5732cf3e3a000p-10"), (100, 100, 0, 0, "0x1.32901b748e000p-11")),
-    (2, (154, 100, 0, 5, "0x1.6c3a2340e5000p-9"), (100, 100, 0, 0, "0x1.3623426c28000p-13")),
+    (0, (158, 100, 0, 3, "0x1.8595f45b80000p-14"), (100, 100, 0, 0, "0x1.25b0be0b36000p-9")),
+    (1, (172, 100, 0, 4, "0x1.ba1480c7aa000p-11"), (100, 100, 0, 0, "0x1.9c644074a0000p-13")),
+    (2, (154, 100, 0, 5, "0x1.7203dbf18e000p-10"), (100, 100, 0, 0, "0x1.a6b0c31e00000p-17")),
 ])
 def test_fuzz_reports_are_pinned_to_the_bit(seed, rotation, monotonicity):
     # the trials each harness draws and the certified margins it reports,
@@ -344,3 +360,159 @@ def test_fuzz_reports_are_pinned_to_the_bit(seed, rotation, monotonicity):
         got = (report.trials, report.applicable, len(report.violations),
                report.disconnected_results, report.min_margin.hex())
         assert got == expected, (fuzz.__name__, seed)
+
+
+def _recorded_checks(monkeypatch):
+    """Run both harnesses at n <= 12, recording each check with the host's
+    tolerance and result as the check saw them, and its result after."""
+    rotations, deletions = [], []
+
+    def record(check, log):
+        def recorder(first, second):
+            host = first if isinstance(first, _Host) else second
+            tol, before = host.tol, host.result
+            out = check(first, second)
+            log.append((first, second, tol, before, host.result, out))
+            return out
+        return recorder
+
+    monkeypatch.setattr(transforms, "_rotation_check", record(_rotation_check, rotations))
+    monkeypatch.setattr(transforms, "_subgraph_check", record(_subgraph_check, deletions))
+    assert fuzz_rotation_increase(1000, 2600, 12).ok
+    assert fuzz_subgraph_monotonicity(500, 2601, 12).ok
+    return rotations, deletions
+
+
+def test_loose_host_checks_report_bounds_on_their_side_of_the_gap(monkeypatch):
+    # 2,000 harness checks decided against loose hosts: every host bracket
+    # holds numpy's lambda1, every certified bound lies on its side of it,
+    # and every certified margin lies below the true gap
+    rotations, deletions = _recorded_checks(monkeypatch)
+    assert len(rotations) >= 1000 and len(deletions) == 1000
+    loose = certified = 0
+    for host, spec, tol, before, after, check in rotations:
+        rho = dense_rho(host.g)
+        for res in (before, after):
+            assert res.lower <= rho <= res.upper
+        loose += tol == HOST_TOL
+        if not check.applicable:
+            continue
+        star = dense_rho(rotate(host.g, spec))
+        if check.certified:
+            certified += 1
+            assert check.rho_after <= star
+            assert check.margin == check.rho_after - before.upper
+            assert check.margin <= star - rho
+        else:
+            assert check.margin == pytest.approx(star - rho, abs=1e-9)
+    for h, host, tol, before, after, check in deletions:
+        rho = dense_rho(host.g)
+        for res in (before, after):
+            assert res.lower <= rho <= res.upper
+        loose += tol == HOST_TOL
+        sub = dense_rho(h)
+        if check.certified:
+            certified += 1
+            assert check.rho_sub >= sub
+            assert check.margin == before.lower - check.rho_sub
+            assert check.margin <= rho - sub
+        else:
+            assert check.margin == pytest.approx(rho - sub, abs=1e-9)
+    assert loose > 1800 and certified > 1900
+
+
+def test_fuzz_counts_survive_hosts_too_loose_to_decide(monkeypatch):
+    # at HOST_TOL = 0.5 the host brackets often fail to decide, so the
+    # checks converge their hosts; the harnesses draw and decide the same
+    # trials as at the default
+    def counts(report):
+        assert report.ok
+        return (report.trials, report.applicable, len(report.violations),
+                report.disconnected_results)
+
+    runs = ((fuzz_rotation_increase, 300, 31), (fuzz_subgraph_monotonicity, 300, 32))
+    default = [counts(fuzz(trials, seed, 16)) for fuzz, trials, seed in runs]
+    resolved = []
+    converged = _Host.converged
+
+    def spy(self):
+        resolved.append(self.tol != DEFAULT_TOL)
+        return converged(self)
+
+    monkeypatch.setattr(transforms, "HOST_TOL", 0.5)
+    monkeypatch.setattr(_Host, "converged", spy)
+    loose = []
+    for fuzz, trials, seed in runs:
+        resolved.clear()
+        loose.append(counts(fuzz(trials, seed, 16)))
+        assert sum(resolved) > 50, fuzz.__name__
+    assert loose == default
+
+
+def test_checks_converge_a_host_they_cannot_decide():
+    # a loose host whose bracket cannot decide is converged inside the
+    # check, which then reports as the public check does
+    g = from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 5)])
+    spec = RotationSpec(1, 2, mask_of([3]))
+    host = _Host(g, 0.5)
+    assert host.result.upper - host.result.lower > 0.1
+    check = _rotation_check(host, spec)
+    assert host.tol == DEFAULT_TOL and host.result == spectral_radius(g)
+    assert check == check_rotation_increase(g, spec)
+    assert check.applicable
+    h = remove_edges(g, [(0, 1)])
+    host = _Host(g, 0.5)
+    assert check_subgraph_monotonicity(g, h).margin < host.result.upper - host.result.lower
+    check = _subgraph_check(h, host)
+    assert host.tol == DEFAULT_TOL
+    assert check == check_subgraph_monotonicity(g, h)
+
+
+def test_rotation_check_drops_a_pair_the_converged_host_reverses():
+    # a loose Perron order that the converged host reverses makes the check
+    # inapplicable, not a violation
+    star = complete_bipartite(1, 4)
+    g = from_edges(6, list(star.edges()) + [(1, 5)])
+    spec = RotationSpec(2, 0, g.adj[0] & ~g.adj[2] & ~(1 << 2) & ~1)
+    host = _Host(g, 0.5)
+    x = list(host.result.perron)
+    x[0], x[2] = x[2], x[0]
+    host.result = dataclasses.replace(host.result, perron=tuple(x))
+    check = _rotation_check(host, spec)
+    assert not check.applicable and check.rho_after is None
+    assert host.tol == DEFAULT_TOL
+
+
+def test_rotation_fuzz_counts_only_applicable_checks(monkeypatch):
+    # a check that the converged host made inapplicable is a trial, not an
+    # applicable one
+    default = fuzz_rotation_increase(50, 7, 12)
+    calls = []
+
+    def dropping(host, spec):
+        check = _rotation_check(host, spec)
+        calls.append(check)
+        return dataclasses.replace(check, applicable=False) if len(calls) % 2 else check
+
+    monkeypatch.setattr(transforms, "_rotation_check", dropping)
+    report = fuzz_rotation_increase(50, 7, 12)
+    assert report.ok and report.applicable == 50 and len(calls) == 100
+    assert report.trials > default.trials
+
+
+def test_host_rho_outside_its_bracket_is_a_violation(monkeypatch):
+    # the checks read the host's bracket, so a solver that returns a rho
+    # outside it is reported, by the public checks and by the harnesses
+    solve = transforms.spectral_radius
+
+    def planted(g, *args):
+        res = solve(g, *args)
+        return dataclasses.replace(res, rho=res.rho - 1.0)
+
+    monkeypatch.setattr(transforms, "spectral_radius", planted)
+    with pytest.raises(ViolationError, match="lies outside its bracket"):
+        check_subgraph_monotonicity(complete_graph(5), complete_graph(4))
+    with pytest.raises(ViolationError, match="lies outside its bracket"):
+        check_rotation_increase(cycle_graph(5), RotationSpec(0, 2, mask_of([3])))
+    assert len(fuzz_rotation_increase(20, 1, 9).violations) == 20
+    assert len(fuzz_subgraph_monotonicity(20, 2, 9).violations) == 40
